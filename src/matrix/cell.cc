@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #include "core/confidence.h"
 #include "core/coverage.h"
@@ -106,9 +105,8 @@ bool parse_double_field(std::string_view s, double& out) {
 Result<meas::Dataset> load_dataset(const std::string& path) {
   const Result<std::string> text = read_file(path);
   if (!text.is_ok()) return text.status();
-  std::istringstream is{text.value()};
   std::string error;
-  std::optional<meas::Dataset> ds = meas::read_dataset(is, &error);
+  std::optional<meas::Dataset> ds = meas::read_dataset(text.value(), &error);
   if (!ds.has_value()) {
     return Status::error(ErrorCode::kParseError, path + ": " + error);
   }

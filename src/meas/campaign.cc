@@ -31,9 +31,8 @@ Status write_dataset_atomic(const std::string& path, const Dataset& ds) {
 Result<Dataset> load_dataset(const std::string& path) {
   const Result<std::string> text = read_file(path);
   if (!text.is_ok()) return text.status();
-  std::istringstream is{text.value()};
   std::string error;
-  std::optional<Dataset> ds = read_dataset(is, &error);
+  std::optional<Dataset> ds = read_dataset(text.value(), &error);
   if (!ds.has_value()) {
     return Status::error(ErrorCode::kParseError, path + ": " + error);
   }

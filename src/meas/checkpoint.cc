@@ -389,7 +389,7 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     if (!std::getline(is, line)) return corrupt("truncated measurement list");
     Measurement m;
     std::string error;
-    if (!parse_measurement(line, kind, nullptr, m, &error)) {
+    if (!parse_measurement(line, kind, m, &error)) {
       return corrupt(error);
     }
     cp.measurements.push_back(std::move(m));

@@ -202,6 +202,7 @@ class Campaign {
                 .kind = CampaignEventKind::kEpisodeProbe,
                 .a = src.value(),
                 .b = dst.value(),
+                .first = SimTime{},
                 .episode = episode,
             });
           }
@@ -420,6 +421,7 @@ class Campaign {
         .t = now + Duration::seconds(wait_s),
         .kind = CampaignEventKind::kServerProbe,
         .a = static_cast<std::int32_t>(server_idx),
+        .first = SimTime{},
     });
   }
 
@@ -429,6 +431,7 @@ class Campaign {
     push_event(CampaignEvent{
         .t = now + Duration::seconds(wait_s),
         .kind = CampaignEventKind::kNextPair,
+        .first = SimTime{},
     });
   }
 
@@ -438,6 +441,7 @@ class Campaign {
     push_event(CampaignEvent{
         .t = now + Duration::seconds(wait_s),
         .kind = CampaignEventKind::kNextEpisode,
+        .first = SimTime{},
     });
   }
 
