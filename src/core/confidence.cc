@@ -4,6 +4,7 @@
 #include <array>
 
 #include "util/expect.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace pathsel::core {
@@ -13,12 +14,6 @@ namespace {
 // Fixed chunking; per-chunk outputs merge in index order, so both sweeps are
 // bit-identical for every thread count (the tallies are integer sums).
 constexpr std::size_t kChunk = 256;
-
-stats::TTestResult pair_ttest(const ResultColumns& results, std::size_t i,
-                              double confidence) {
-  return stats::welch_ttest(results.default_estimate(i),
-                            results.alternate_estimate(i), confidence);
-}
 
 }  // namespace
 
@@ -50,16 +45,15 @@ Result<SignificanceTally> classify_significance_checked(
   const Status status = pool.parallel_for(
       results.size(), kChunk,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        // SignificanceClass codes 0..3 index {better, worse, indet, zero}.
         std::array<std::size_t, 4> local{};
+        VerdictCount verdicts;
         for (std::size_t i = begin; i < end; ++i) {
-          switch (pair_ttest(results, i, confidence).verdict) {
-            case stats::Significance::kBetter: ++local[0]; break;
-            case stats::Significance::kWorse: ++local[1]; break;
-            case stats::Significance::kIndeterminate: ++local[2]; break;
-            case stats::Significance::kZero: ++local[3]; break;
-          }
+          ++local[static_cast<std::size_t>(
+              classify_pair(results, i, confidence, &verdicts))];
         }
         counts[chunk] = local;
+        verdicts.record();
       },
       cancel);
   if (!status.is_ok()) return status;
@@ -82,9 +76,24 @@ Result<SignificanceTally> classify_significance_checked(
                                        confidence, threads, cancel);
 }
 
+void VerdictCount::record() const {
+  MetricsRegistry& m = MetricsRegistry::global();
+  if (verdicts == 0 || !m.enabled()) return;
+  m.count("core.confidence.verdicts", verdicts);
+  m.count("core.confidence.verdicts_exact", exact);
+}
+
 SignificanceClass classify_pair(const ResultColumns& results, std::size_t i,
-                                double confidence) {
-  switch (pair_ttest(results, i, confidence).verdict) {
+                                double confidence, VerdictCount* count) {
+  bool exact = false;
+  const stats::Significance verdict =
+      stats::welch_verdict(results.default_estimate(i),
+                           results.alternate_estimate(i), confidence, &exact);
+  if (count != nullptr) {
+    ++count->verdicts;
+    count->exact += exact ? 1 : 0;
+  }
+  switch (verdict) {
     case stats::Significance::kBetter:
       return SignificanceClass::kBetter;
     case stats::Significance::kWorse:
@@ -106,10 +115,12 @@ Status annotate_significance(ResultColumns& results, double confidence,
   return pool.parallel_for(
       results.size(), kChunk,
       [&](std::size_t begin, std::size_t end, std::size_t) {
+        VerdictCount verdicts;
         for (std::size_t i = begin; i < end; ++i) {
-          results.significance[i] =
-              static_cast<std::int8_t>(classify_pair(results, i, confidence));
+          results.significance[i] = static_cast<std::int8_t>(
+              classify_pair(results, i, confidence, &verdicts));
         }
+        verdicts.record();
       },
       cancel);
 }
@@ -138,7 +149,9 @@ Result<std::vector<CiPoint>> confidence_cdf_checked(
         std::vector<CiPoint> local;
         local.reserve(end - begin);
         for (std::size_t i = begin; i < end; ++i) {
-          const auto t = pair_ttest(results, i, confidence);
+          const auto t = stats::welch_ttest(results.default_estimate(i),
+                                            results.alternate_estimate(i),
+                                            confidence);
           local.push_back(CiPoint{t.difference, 0.0, t.half_width});
         }
         return local;

@@ -8,6 +8,7 @@
 // "zero" class for pairs that saw no losses at all on either path).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,11 +47,25 @@ struct SignificanceTally {
     std::span<const PairResult> results, double confidence = 0.95,
     int threads = 0, const CancelToken* cancel = nullptr);
 
-/// The verdict annotate_significance() writes for one pair — exposed so the
-/// serve engine can re-classify just the rows an incremental update touched
-/// and land on exactly the bytes a full annotate sweep would produce.
+/// Verdicts given by classify_pair() and how many of them took
+/// stats::welch_verdict()'s exact-quantile fallback.  Sweeps keep one per
+/// chunk and the serve engine one per flush; record() adds them to the
+/// core.confidence.verdicts and core.confidence.verdicts_exact counters.
+struct VerdictCount {
+  std::uint64_t verdicts = 0;
+  std::uint64_t exact = 0;
+
+  void record() const;
+};
+
+/// The verdict annotate_significance() writes for one pair, and the one the
+/// tallies count: stats::welch_verdict(), equal to welch_ttest().verdict.
+/// Exposed so the serve engine can re-classify just the rows an incremental
+/// update touched and land on exactly the bytes a full annotate sweep would
+/// produce.  Adds the verdict to `count` when it is non-null.
 [[nodiscard]] SignificanceClass classify_pair(const ResultColumns& results,
-                                              std::size_t i, double confidence);
+                                              std::size_t i, double confidence,
+                                              VerdictCount* count = nullptr);
 
 /// Fills the significance column with the per-pair welch_ttest verdicts the
 /// tallies above count (same confidence, same chunking — bit-identical for

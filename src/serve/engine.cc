@@ -351,15 +351,18 @@ Status ServeEngine::flush() {
 }
 
 void ServeEngine::recompute_rows(const std::vector<std::size_t>& rows) {
+  core::VerdictCount verdicts;
   for (const std::size_t i : rows) {
-    recompute_row(core::Metric::kRtt, w_rtt_, cols_rtt_, i);
-    recompute_row(core::Metric::kLoss, w_loss_, cols_loss_, i);
+    recompute_row(core::Metric::kRtt, w_rtt_, cols_rtt_, i, verdicts);
+    recompute_row(core::Metric::kLoss, w_loss_, cols_loss_, i, verdicts);
   }
+  verdicts.record();
 }
 
 void ServeEngine::recompute_row(core::Metric metric,
                                 const core::WeightMatrix& w,
-                                core::ResultColumns& cols, std::size_t i) {
+                                core::ResultColumns& cols, std::size_t i,
+                                core::VerdictCount& verdicts) {
   // Replays the scalar dense kernel's exact candidate sequence for this one
   // (i, j) cell — ascending k, skip +inf left operand, strict < — so the
   // refreshed row is bit-identical to a full min-plus resweep.
@@ -396,7 +399,7 @@ void ServeEngine::recompute_row(core::Metric metric,
   core::finish_pair_result(*direct, path_edges, {relay}, metric, r);
   core::overwrite_row(cols, i, r);
   cols.significance[i] = static_cast<std::int8_t>(
-      core::classify_pair(cols, i, options_.confidence));
+      core::classify_pair(cols, i, options_.confidence, &verdicts));
 }
 
 Status ServeEngine::compact() {

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "core/alternate.h"
+#include "core/confidence.h"
 #include "core/dense_kernel.h"
 #include "core/disjoint.h"
 #include "core/path_table.h"
@@ -243,7 +244,8 @@ class ServeEngine {
   [[nodiscard]] Status apply_record(const EdgeUpdate& update);
   void recompute_rows(const std::vector<std::size_t>& rows);
   void recompute_row(core::Metric metric, const core::WeightMatrix& w,
-                     core::ResultColumns& cols, std::size_t i);
+                     core::ResultColumns& cols, std::size_t i,
+                     core::VerdictCount& verdicts);
   [[nodiscard]] Status compact();
   void publish_snapshot();
 

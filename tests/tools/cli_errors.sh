@@ -72,6 +72,18 @@ expect 0 "analyze rtt" -- \
   analyze --in "$TMP/uw3.ds" --metric rtt --min-samples 2
 expect 1 "bandwidth on a traceroute dataset" -- \
   analyze --in "$TMP/uw3.ds" --metric bandwidth
+# A huge but finite RTT is accepted by the reader and overflows the Welford
+# sum of squares: that pair's variance is +inf and its Welch dof NaN.  The
+# t-test calls it indeterminate (half-width +inf) rather than aborting in the
+# t-quantile (which exited 134).
+awk '!done && /^m / && $6 == 1 && $7 == 0 { $8 = "1e300"; done = 1 } 1' \
+  "$TMP/uw3.ds" > "$TMP/huge_rtt.ds"
+if ! grep -q ' 1e300 ' "$TMP/huge_rtt.ds"; then
+  echo "FAIL: could not plant a 1e300 ms RTT sample" >&2
+  failures=$((failures + 1))
+fi
+expect 0 "analyze with a 1e300 ms RTT sample" -- \
+  analyze --in "$TMP/huge_rtt.ds" --min-samples 3
 expect 0 "generate with faults" -- \
   generate --dataset UW3 --scale 0.01 --faults 0.2 --fault-seed 7 \
   --out "$TMP/faulted.ds"

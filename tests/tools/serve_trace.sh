@@ -148,6 +148,22 @@ grep -q "^best rtt" "$TMP/bad.out" \
   > /dev/null 2> /dev/null
 [[ $? -eq 1 ]] || fail "--strict-updates did not exit 1 on a rejected update"
 
+# --- Case 5: a huge finite RTT update is indeterminate, not an abort -----
+# Two 1e300 ms samples overflow the edge's Welford sum of squares (variance
+# +inf, Welch dof NaN).  The flush used to abort in the t-quantile (exit
+# 134); now the pair is classified indeterminate and the run exits 0.
+cat > "$TMP/huge.trace" <<EOF
+update sample $A1 $B1 1e300 0
+update sample $A1 $B1 1e300 0
+flush
+query best rtt $A1 $B1
+EOF
+"${SERVE[@]}" --trace "$TMP/huge.trace" > "$TMP/huge.out" 2> "$TMP/huge.err"
+rc=$?
+[[ "$rc" -eq 0 ]] || fail "1e300 ms RTT updates: expected exit 0, got $rc"
+grep -q "significance=indeterminate" "$TMP/huge.out" \
+  || fail "the overflowed pair was not classified indeterminate"
+
 if [[ "$failures" -ne 0 ]]; then
   echo "$failures serve trace case(s) failed" >&2
   exit 1
