@@ -101,18 +101,6 @@ bool parse_double_field(std::string_view s, double& out) {
   return true;
 }
 
-// Reads a dataset file the campaign wrote.
-Result<meas::Dataset> load_dataset(const std::string& path) {
-  const Result<std::string> text = read_file(path);
-  if (!text.is_ok()) return text.status();
-  std::string error;
-  std::optional<meas::Dataset> ds = meas::read_dataset(text.value(), &error);
-  if (!ds.has_value()) {
-    return Status::error(ErrorCode::kParseError, path + ": " + error);
-  }
-  return std::move(*ds);
-}
-
 // Identity of a cell's collection: everything that shapes the dataset bytes
 // (dataset name, seed, scale, fault intensity) folded with the grid
 // fingerprint.  Cells sharing the identity share one collection; an edited
@@ -501,7 +489,7 @@ Result<CellOutcome> run_cell(const CellContext& ctx, const CellSpec& cell) {
   }
   if (busy) return CellOutcome::kDatasetBusy;
 
-  Result<meas::Dataset> ds = load_dataset(ds_path);
+  Result<meas::Dataset> ds = meas::load_dataset(ds_path);
   if (!ds.is_ok()) return ds.status();
 
   CellSummary summary;

@@ -28,17 +28,6 @@ Status write_dataset_atomic(const std::string& path, const Dataset& ds) {
   return write_file_atomic(path, os.str());
 }
 
-Result<Dataset> load_dataset(const std::string& path) {
-  const Result<std::string> text = read_file(path);
-  if (!text.is_ok()) return text.status();
-  std::string error;
-  std::optional<Dataset> ds = read_dataset(text.value(), &error);
-  if (!ds.has_value()) {
-    return Status::error(ErrorCode::kParseError, path + ": " + error);
-  }
-  return std::move(*ds);
-}
-
 }  // namespace
 
 std::vector<std::string> expand_datasets(

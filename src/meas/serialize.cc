@@ -1,10 +1,12 @@
 #include "meas/serialize.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
@@ -12,6 +14,8 @@
 #include <streambuf>
 #include <string>
 #include <vector>
+
+#include "util/parse.h"
 
 namespace pathsel::meas {
 
@@ -46,15 +50,6 @@ constexpr bool is_space(char c) {
 std::string_view trim_leading_space(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   return s;
-}
-
-// A whole token as one number: no sign beyond what from_chars takes for T,
-// no trailing characters, no overflow.
-template <typename T>
-bool parse_number(std::string_view token, T& out) {
-  const char* const end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
-  return ec == std::errc{} && ptr == end;
 }
 
 // Whitespace-separated tokens of one line.
@@ -492,6 +487,24 @@ bool parse_measurement(std::string_view line, MeasurementKind kind,
   if (!parse_row(tokens, line, kind, nullptr, m, error)) return false;
   out = std::move(m);
   return true;
+}
+
+Result<Dataset> load_dataset(const std::string& path) {
+  std::ifstream is{path};
+  if (!is) {
+    return Status::error(ErrorCode::kIoError, "cannot open " + path + ": " +
+                                                  std::strerror(errno));
+  }
+  LineReader lines{is.rdbuf()};
+  std::string error;
+  std::optional<Dataset> ds = parse_dataset(lines, &error);
+  if (lines.failed()) {
+    return Status::error(ErrorCode::kIoError, "cannot read " + path);
+  }
+  if (!ds.has_value()) {
+    return Status::error(ErrorCode::kParseError, path + ": " + error);
+  }
+  return std::move(*ds);
 }
 
 }  // namespace pathsel::meas

@@ -52,6 +52,7 @@
 #include <string_view>
 
 #include "meas/dataset.h"
+#include "util/status.h"
 
 namespace pathsel::meas {
 
@@ -75,6 +76,11 @@ void write_dataset(std::ostream& os, const Dataset& dataset);
 /// Same as above over text already in memory: the same parser, no copy.
 [[nodiscard]] std::optional<Dataset> read_dataset(std::string_view text,
                                                   std::string* error = nullptr);
+
+/// Reads and parses a dataset file through the stream reader (bounded
+/// memory): kIoError when it cannot be opened or read (a directory, say),
+/// kParseError (message prefixed with the path) when it does not parse.
+[[nodiscard]] Result<Dataset> load_dataset(const std::string& path);
 
 /// Writes one measurement row (the full "m ..." line, newline included)
 /// exactly as write_dataset does.  Checkpoints embed pending measurements

@@ -10,8 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace pathsel {
 
@@ -118,12 +116,26 @@ Status write_file_atomic(const std::string& path, std::string_view contents) {
 }
 
 Result<std::string> read_file(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) return io_error("cannot open", path);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (is.bad()) return io_error("cannot read", path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return io_error("cannot open", path);
+  // read() itself, not a stream, so a failed read (EISDIR on a directory,
+  // EIO) is an error instead of an empty file.
+  std::string out;
+  std::array<char, 1 << 16> chunk{};
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    if (n > 0) {
+      out.append(chunk.data(), static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      const Status s = io_error("cannot read", path);
+      ::close(fd);
+      return s;
+    }
+  }
+  ::close(fd);
+  return out;
 }
 
 Status ensure_directory(const std::string& path) {

@@ -6,6 +6,7 @@
 
 #include "meas/catalog.h"
 #include "test_util.h"
+#include "util/atomic_io.h"
 
 namespace pathsel::meas {
 namespace {
@@ -150,6 +151,29 @@ TEST(Serialize, EmptyMeasurementListAllowed) {
   const auto loaded = read_dataset(ss);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->measurements.empty());
+}
+
+// load_dataset separates the file from its bytes: a file that cannot be
+// opened or read (a directory) is kIoError, text that does not parse is
+// kParseError naming the path.
+TEST(Serialize, LoadDatasetClassifiesFailures) {
+  const std::string dir = ::testing::TempDir() + "/serialize_load";
+  ASSERT_TRUE(ensure_directory(dir).is_ok());
+  std::stringstream ss;
+  write_dataset(ss, sample_traceroute());
+  ASSERT_TRUE(write_file_atomic(dir + "/ok.ds", ss.str()).is_ok());
+  ASSERT_TRUE(write_file_atomic(dir + "/bad.ds", "not a dataset\n").is_ok());
+
+  const Result<Dataset> ok = load_dataset(dir + "/ok.ds");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_EQ(ok.value().measurements.size(),
+            sample_traceroute().measurements.size());
+  EXPECT_EQ(load_dataset(dir + "/missing.ds").status().code(),
+            ErrorCode::kIoError);
+  EXPECT_EQ(load_dataset(dir).status().code(), ErrorCode::kIoError);
+  const Result<Dataset> bad = load_dataset(dir + "/bad.ds");
+  EXPECT_EQ(bad.status().code(), ErrorCode::kParseError);
+  EXPECT_NE(bad.status().message().find("bad.ds"), std::string::npos);
 }
 
 }  // namespace

@@ -64,6 +64,33 @@ expect 2 "bad metric" -- analyze --in "$TMP/garbage" --metric vibes
 expect 2 "threads out of range" -- \
   analyze --in "$TMP/garbage" --threads 99999
 
+# Every numeric flag value is one whole token parsed like a dataset field
+# (from_chars): a '-' on an unsigned flag, a leading space or '+', and a hex
+# real are usage errors, rejected before the output file is created.
+expect 2 "negative unsigned seed" -- \
+  generate --dataset UW3 --scale 0.01 --seed -1 --out "$TMP/neg.ds"
+expect 2 "negative unsigned fault seed" -- \
+  campaign --out-dir "$TMP/neg.camp" --scale 0.01 --fault-seed -3
+expect 2 "leading space on a real" -- \
+  generate --dataset UW3 --scale " 0.01" --out "$TMP/neg.ds"
+expect 2 "leading plus on a real" -- \
+  generate --dataset UW3 --scale +0.01 --out "$TMP/neg.ds"
+expect 2 "hex real" -- \
+  generate --dataset UW3 --scale 0x1p-7 --out "$TMP/neg.ds"
+expect 2 "leading plus on an integer" -- \
+  analyze --in "$TMP/garbage" --threads +4
+if [[ -e "$TMP/neg.ds" || -e "$TMP/neg.camp" ]]; then
+  echo "FAIL: a rejected numeric flag still wrote output" >&2
+  failures=$((failures + 1))
+fi
+
+# A directory opens but cannot be read: unreadable input (exit 3), not an
+# empty file that parses as defaults or fails to parse.
+mkdir -p "$TMP/a_dir"
+expect 3 "dataset that is a directory" -- info --in "$TMP/a_dir"
+expect 3 "results file that is a directory" -- \
+  analyze --results-in "$TMP/a_dir"
+
 # Happy paths: generate once, then exercise info/analyze on the result.
 expect 0 "generate" -- \
   generate --dataset UW3 --scale 0.01 --out "$TMP/uw3.ds"
@@ -319,6 +346,10 @@ expect 2 "matrix threads out of range" -- \
   matrix --grid "$TMP/no-grid" --work-dir "$TMP/mx" --threads 0
 expect 3 "matrix unreadable grid" -- \
   matrix --grid "$TMP/no-grid" --work-dir "$TMP/mx"
+expect 2 "matrix threads beyond the cap" -- \
+  matrix --grid "$TMP/no-grid" --work-dir "$TMP/mx" --threads 4097
+expect 3 "matrix grid that is a directory" -- \
+  matrix --grid "$TMP/a_dir" --work-dir "$TMP/mx"
 if [[ -e "$TMP/mx" ]]; then
   echo "FAIL: matrix created its work dir despite an unreadable grid" >&2
   failures=$((failures + 1))

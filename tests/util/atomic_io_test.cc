@@ -120,6 +120,30 @@ TEST(AtomicIoRead, MissingFileIsAnIoError) {
   EXPECT_EQ(read.status().code(), ErrorCode::kIoError);
 }
 
+// A directory opens but cannot be read: that is an I/O error, not an empty
+// file (an empty grid or dataset text would otherwise parse as defaults).
+TEST(AtomicIoRead, DirectoryIsAnIoError) {
+  const std::string dir = ::testing::TempDir() + "/atomic_io_read_dir";
+  ASSERT_TRUE(ensure_directory(dir).is_ok());
+  const Result<std::string> read = read_file(dir);
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), ErrorCode::kIoError);
+  EXPECT_NE(read.status().message().find("cannot read"), std::string::npos)
+      << read.status().to_string();
+}
+
+TEST(AtomicIoRead, ReadsFilesLargerThanOneChunk) {
+  const std::string path = ::testing::TempDir() + "/atomic_io_large";
+  std::string contents;
+  for (int i = 0; contents.size() < 300'000; ++i) {
+    contents += std::to_string(i) + '\n';
+  }
+  ASSERT_TRUE(write_file_atomic(path, contents).is_ok());
+  const Result<std::string> read = read_file(path);
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value(), contents);
+}
+
 TEST(AtomicIoEnsureDirectory, CreatesNestedAndRejectsFiles) {
   const std::string nested = ::testing::TempDir() + "/atomic_io_a/b/c";
   ASSERT_TRUE(ensure_directory(nested).is_ok());

@@ -1,85 +1,32 @@
 // pathsel command-line tool.
 //
-//   pathsel_cli generate --dataset UW3 [--scale S] [--seed N] --out FILE
-//                        [--faults F] [--fault-seed N]
-//       Regenerate one of the paper's datasets and save it.  --faults runs
-//       the campaign under a deterministic fault schedule of the given
-//       intensity (0..1); 0 reproduces the historical bytes exactly.
-//   pathsel_cli info --in FILE
-//       Print a dataset's characteristics (its Table 1 row).
-//   pathsel_cli analyze --in FILE --metric rtt|loss|bandwidth
-//                       [--min-samples N] [--one-hop] [--csv] [--coverage]
-//                       [--threads N] [--deadline SEC]
-//                       [--kernel auto|dense|search]
-//                       [--simd auto|avx2|scalar]
-//                       [--disjoint K] [--disjoint-mode link|node]
-//       Run the alternate-path analysis on a saved dataset.  --threads
-//       defaults to the hardware thread count (or $PATHSEL_THREADS); the
-//       results are bit-identical for every value.  --coverage appends a
-//       graceful-degradation summary of how much of the mesh backed the
-//       results.  --kernel picks the alternate-path engine for --one-hop
-//       sweeps: the dense min-plus kernel or the per-pair reference search
-//       (auto, the default, switches on table density); output is
-//       byte-identical either way.  --simd picks the dense kernel's
-//       instruction path (default auto: $PATHSEL_SIMD, then the widest the
-//       CPU supports; avx2 falls back to scalar when unsupported); every
-//       path is bit-identical, only throughput differs.  --disjoint K
-//       switches to the k-disjoint-alternates analyzer: Suurballe/Bhandari
-//       computes up to K mutually link-disjoint (--disjoint-mode node:
-//       node-disjoint) alternate paths per measured pair over the same
-//       weight space, reporting "requested k / found k" accounting; it is
-//       mutually exclusive with --one-hop/--kernel/--simd.  K is checked
-//       against the graph's N-2 ceiling after the dataset loads (a data
-//       error, exit 1); malformed K is a usage error (exit 2).
-//       --results-out FILE stops after the sweep and writes the columnar
-//       results (core/result_columns.h binary format, atomic + CRC-checked)
-//       instead of post-processing; --results-in FILE starts from such a
-//       file, skipping the dataset and sweep entirely — the interchange the
-//       scenario-matrix workers use to split an analysis from its
-//       post-processing.  A --results-out run prints only the `path graph:`
-//       line and a --results-in run the `pairs analyzed:` lines onward, so
-//       the two stdouts concatenate to exactly the fused run's output (a
-//       golden-enforced contract).  Flags that shape the sweep cannot be
-//       combined with --results-in, and post-processing flags cannot be
-//       combined with --results-out (usage errors, checked before I/O).
-//   pathsel_cli campaign --out-dir DIR [--datasets A,B,...] [--scale S]
-//                        [--seed N] [--faults F] [--fault-seed N]
-//                        [--checkpoint-dir DIR] [--resume]
-//                        [--checkpoint-every-hours H] [--deadline SEC]
-//                        [--disjoint K]
-//       Regenerate a set of datasets (all of Table 1 by default) into DIR
-//       with crash safety: with --checkpoint-dir each in-flight dataset is
-//       periodically checkpointed (atomically, CRC-checked), and --resume
-//       continues an interrupted campaign from the newest valid checkpoint,
-//       producing byte-identical outputs to an uninterrupted run.
-//       --disjoint K additionally writes a <name>.disjoint.tsv report per
-//       dataset (atomic, deterministic) and folds K into the checkpoint
-//       fingerprint, so resuming under a different K discards the stale
-//       checkpoint instead of splicing runs.
-//   pathsel_cli serve --in FILE --trace FILE|- [--readers N] [--queue-cap N]
-//                     [--stale-after-ms MS] [--journal-dir DIR] [--resume]
-//                     [--compact-every N] [--min-samples N] [--threads N]
-//                     [--deadline SEC] [--strict-updates]
-//       Run the fault-tolerant online path-selection service (src/serve)
-//       against a scripted request/update trace (serve/trace.h grammar; "-"
-//       reads stdin).  Query responses print to stdout, byte-identical for
-//       every --readers count; diagnostics (rejected updates, journal
-//       recovery notes, the closing summary) go to stderr.  --journal-dir
-//       enables the crash-safe update journal; --resume replays it (plus the
-//       newest compacted state snapshot) so a killed server reconverges to
-//       its exact pre-crash state.  Malformed or out-of-range updates are
-//       rejected with a reason and never poison the served snapshot; with
-//       --strict-updates any rejection turns into a data-error exit (1).
-//   pathsel_cli version | --version
-//       Print the tool version and every stable on-disk/JSON format version
-//       (dataset, checkpoint, results, journal, serve state, bench JSON).
+//   pathsel_cli generate   regenerate one of the paper's Table 1 datasets
+//   pathsel_cli info       print a saved dataset's Table 1 row
+//   pathsel_cli analyze    default-vs-alternate path analysis of a dataset
+//   pathsel_cli campaign   crash-safe regeneration of a set of datasets
+//   pathsel_cli matrix     a scenario grid fanned out over forked workers
+//   pathsel_cli serve      online path selection driven by a request trace
+//   pathsel_cli version    the tool and every stable on-disk format version
 //
-// Long-running commands (campaign, analyze) honour --deadline SEC and
-// SIGINT/SIGTERM: the run drains cooperatively at the next chunk/event
-// boundary, a campaign writes a final checkpoint, and the process exits 5.
-// Setting PATHSEL_WATCHDOG=1 starts a stall watchdog (poll cadence derived
-// from PATHSEL_WATCHDOG_STALL_S, default 30s); with PATHSEL_WATCHDOG_TRIP=1
-// a detected stall also cancels the run.
+// Each subcommand declares its flags once, in the flag table beside its
+// options struct; the parser and the usage text both read the tables, and
+// every flag is validated before any file is touched.
+//
+// Split runs.  `analyze --results-out FILE` stops after the sweep and writes
+// the columnar results (core/result_columns.h format, atomic + CRC-checked);
+// `analyze --results-in FILE` starts from such a file, skipping the dataset
+// and the sweep — the interchange the scenario-matrix workers use.  The
+// first prints only the `path graph:` line and the second the `pairs
+// analyzed:` lines onward, so the two stdouts concatenate to exactly the
+// fused run's output (a golden-enforced contract).
+//
+// Interruption.  The long-running commands (analyze, campaign, matrix,
+// serve) honour --deadline SEC and SIGINT/SIGTERM: the run drains
+// cooperatively at the next chunk/event boundary, a campaign writes a final
+// checkpoint, and the process exits 5.  Setting PATHSEL_WATCHDOG=1 starts a
+// stall watchdog (poll cadence derived from PATHSEL_WATCHDOG_STALL_S,
+// default 30s); with PATHSEL_WATCHDOG_TRIP=1 a detected stall also cancels
+// the run.
 //
 // Every command also accepts --metrics[=table|json]: enables the metrics
 // registry for the run and dumps its snapshot to stderr on exit.  Metrics
@@ -87,21 +34,24 @@
 //
 // Exit codes: 0 success; 1 data error (dataset cannot support the request);
 // 2 usage error (unknown command/flag, missing or malformed value);
-// 3 input file unreadable; 4 dataset fails to parse; 5 interrupted
+// 3 input file unreadable; 4 input file fails to parse; 5 interrupted
 // (deadline, signal, or watchdog — campaigns leave a valid checkpoint).
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/alternate.h"
@@ -125,6 +75,7 @@
 #include "util/bench_report.h"
 #include "util/cancel.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "util/watchdog.h"
 
@@ -160,151 +111,108 @@ int exit_code_for(const Status& status) {
   }
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  pathsel_cli generate --dataset NAME [--scale S] [--seed N] --out FILE\n"
-               "                       [--faults F] [--fault-seed N]\n"
-               "  pathsel_cli info --in FILE\n"
-               "  pathsel_cli analyze --in FILE --metric rtt|loss|bandwidth\n"
-               "                      [--min-samples N] [--one-hop] [--csv]\n"
-               "                      [--coverage] [--threads N] [--deadline SEC]\n"
-               "                      [--kernel auto|dense|search]\n"
-               "                      [--simd auto|avx2|scalar]\n"
-               "                      [--disjoint K] [--disjoint-mode link|node]\n"
-               "                      [--results-out FILE]\n"
-               "  pathsel_cli analyze --results-in FILE [--csv] [--threads N]\n"
-               "                      [--deadline SEC]\n"
-               "  pathsel_cli campaign --out-dir DIR [--datasets A,B,...]\n"
-               "                       [--scale S] [--seed N] [--faults F]\n"
-               "                       [--fault-seed N] [--checkpoint-dir DIR]\n"
-               "                       [--resume] [--checkpoint-every-hours H]\n"
-               "                       [--deadline SEC] [--disjoint K]\n"
-               "  pathsel_cli matrix --grid FILE --work-dir DIR [--workers N]\n"
-               "                     [--threads N] [--resume] [--deadline SEC]\n"
-               "  pathsel_cli serve --in FILE --trace FILE|- [--readers N]\n"
-               "                    [--queue-cap N] [--stale-after-ms MS]\n"
-               "                    [--journal-dir DIR] [--resume]\n"
-               "                    [--compact-every N] [--min-samples N]\n"
-               "                    [--threads N] [--deadline SEC]\n"
-               "                    [--strict-updates]\n"
-               "  pathsel_cli version | --version\n"
-               "datasets: D2 D2-NA N2 N2-NA UW1 UW3 UW4-A UW4-B\n"
-               "--threads defaults to the hardware thread count\n"
-               "--metrics[=table|json] dumps run metrics to stderr on exit\n"
-               "exit codes: 0 ok, 1 data error, 2 usage, 3 unreadable file,\n"
-               "            4 parse error, 5 interrupted (deadline/signal)\n");
-  return kExitUsage;
+// Prints a failed Status, prefixed with `context` when given, and returns its
+// exit code.
+int fail(const Status& status, const std::string& context = {}) {
+  std::fprintf(stderr, "%s%s%s\n", context.c_str(), context.empty() ? "" : ": ",
+               status.to_string().c_str());
+  return exit_code_for(status);
 }
 
-using FlagMap = std::map<std::string, std::string>;
+// PATHSEL_TEST_CRASH_AFTER=N hard-kills the process (SIGKILL, no cleanup)
+// right after its N-th durable write — a campaign checkpoint, a matrix cell
+// or a serve journal append; the kill-and-resume tests use it to place a
+// machine crash at a reproducible instant.  0 when unset or not positive.
+std::size_t test_crash_after() {
+  const char* env = std::getenv("PATHSEL_TEST_CRASH_AFTER");
+  const long n = env == nullptr ? 0 : std::strtol(env, nullptr, 10);
+  return n > 0 ? static_cast<std::size_t>(n) : 0;
+}
 
-// Strict flag parser: every token must be a known flag for the command, and
-// value flags must be followed by a value.  Returns false (after a one-line
-// diagnostic) on any violation.  `optional_value_flags` take their value
-// inline (--flag=value) or default to "table" when given bare.
-bool parse_flags(int argc, char** argv, int from,
-                 const std::set<std::string>& value_flags,
-                 const std::set<std::string>& bool_flags,
-                 const std::set<std::string>& optional_value_flags,
-                 FlagMap& out) {
-  for (int i = from; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", key.c_str());
-      return false;
-    }
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      const std::string bare = key.substr(0, eq);
-      if (!optional_value_flags.contains(bare)) {
-        std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-        return false;
-      }
-      out[bare] = key.substr(eq + 1);
-      continue;
-    }
-    if (optional_value_flags.contains(key)) {
-      out[key] = "table";
-    } else if (bool_flags.contains(key)) {
-      out[key] = "1";
-    } else if (value_flags.contains(key)) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--%s needs a value\n", key.c_str());
-        return false;
-      }
-      out[key] = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      return false;
-    }
+// ---------------------------------------------------------------------------
+// Flag tables.  A row names a flag once and says how it takes its value, how
+// the value parses and which options-struct member it fills; the struct's
+// member initializers are the defaults.  Presence rules that do not depend
+// on any value (a flag that is required, needs another, or excludes others)
+// are row data too.
+
+enum class Arity {
+  kValue,   // --flag VALUE
+  kBare,    // --flag
+  kInline,  // --flag or --flag=VALUE
+};
+
+struct Value {
+  Arity arity = Arity::kValue;
+  std::string meta;  // the value's placeholder in the usage text
+  std::function<bool(std::string_view)> set;  // false: malformed/out of range
+  std::string_view implicit = {};             // a bare kInline flag's value
+};
+
+struct Flag {
+  const char* name;
+  Value value;
+  bool required = false;
+  const char* needs = nullptr;          // a flag that must be given with it
+  std::vector<const char*> excludes{};  // flags that must not be
+};
+
+Value bare(bool& field) {
+  return {Arity::kBare, "", [&field](std::string_view) {
+            field = true;
+            return true;
+          }};
+}
+
+// A path or other free-form string; `field` is a string or an optional one.
+template <typename Field>
+Value path(Field& field, std::string meta = "FILE") {
+  return {Arity::kValue, std::move(meta), [&field](std::string_view v) {
+            field = std::string{v};
+            return true;
+          }};
+}
+
+// A whole-token number (util/parse.h) in [lo, hi]: no leading space or '+',
+// no '-' on an unsigned T, no trailing characters.
+template <typename T, typename Field>
+Value number(Field& field, T lo, T hi, std::string meta = "N") {
+  return {Arity::kValue, std::move(meta), [&field, lo, hi](std::string_view v) {
+            T x{};
+            if (!parse_number(v, x) || !(x >= lo) || !(x <= hi)) return false;
+            field = x;
+            return true;
+          }};
+}
+
+// One of a fixed list of names, each mapped to the value it stores.
+template <typename Field>
+Value choice(Field& field,
+             std::vector<std::pair<std::string_view, Field>> choices) {
+  std::string meta;
+  for (const auto& [name, value] : choices) {
+    meta += (meta.empty() ? "" : "|") + std::string{name};
   }
-  return true;
+  return {Arity::kValue, std::move(meta),
+          [&field, choices = std::move(choices)](std::string_view v) {
+            for (const auto& [name, value] : choices) {
+              if (v == name) {
+                field = value;
+                return true;
+              }
+            }
+            return false;
+          }};
 }
 
-// Strict numeric flag accessors: the whole value must parse and fall inside
-// the given range; `out` keeps its default when the flag is absent.
-bool flag_i64(const FlagMap& flags, const char* key, std::int64_t lo,
-              std::int64_t hi, std::int64_t& out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' || v < lo ||
-      v > hi) {
-    std::fprintf(stderr, "invalid value for --%s: %s\n", key,
-                 it->second.c_str());
-    return false;
-  }
-  out = v;
-  return true;
+Value choice(std::string& field,
+             std::initializer_list<std::string_view> names) {
+  std::vector<std::pair<std::string_view, std::string>> choices;
+  for (const std::string_view name : names) choices.emplace_back(name, name);
+  return choice(field, std::move(choices));
 }
 
-bool flag_u64(const FlagMap& flags, const char* key, std::uint64_t& out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0') {
-    std::fprintf(stderr, "invalid value for --%s: %s\n", key,
-                 it->second.c_str());
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-bool flag_double(const FlagMap& flags, const char* key, double lo, double hi,
-                 double& out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      !(v >= lo) || !(v <= hi)) {
-    std::fprintf(stderr, "invalid value for --%s: %s\n", key,
-                 it->second.c_str());
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-// Arms g_cancel with the --deadline value when present (seconds of wall
-// clock; 0 trips immediately).
-bool arm_deadline(const FlagMap& flags) {
-  double deadline = 0.0;
-  if (!flag_double(flags, "deadline", 0.0, 1e9, deadline)) return false;
-  if (flags.contains("deadline")) {
-    g_cancel.set_deadline_after_seconds(deadline);
-  }
-  return true;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
+std::vector<std::string> split_csv(std::string_view s) {
   std::vector<std::string> out;
   std::string cur;
   for (const char c : s) {
@@ -319,6 +227,149 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+// A comma-separated, non-empty list of catalog dataset names.
+Value dataset_list(std::vector<std::string>& field) {
+  return {Arity::kValue, "A,B,...", [&field](std::string_view v) {
+            field = split_csv(v);
+            return !field.empty() &&
+                   std::ranges::all_of(field, meas::Catalog::is_dataset_name);
+          }};
+}
+
+// Parses `args` against `flags`: every token must be a flag of the table,
+// value flags need a value, and every value must parse; then the presence
+// rules.  Prints a one-line diagnostic and returns false on any violation.
+bool parse_flags(const char* command, std::span<char* const> args,
+                 const std::vector<Flag>& flags) {
+  std::set<std::string_view> given;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string_view token = args[i];
+    if (!token.starts_with("--")) {
+      std::fprintf(stderr, "unexpected argument: %s\n", args[i]);
+      return false;
+    }
+    const std::size_t eq = token.find('=');
+    const std::string_view name = token.substr(2, eq - 2);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [name](const Flag& f) { return name == f.name; });
+    if (flag == flags.end() ||
+        (eq != std::string_view::npos && flag->value.arity != Arity::kInline)) {
+      std::fprintf(stderr, "unknown flag: %s\n", args[i]);
+      return false;
+    }
+    std::string_view value;
+    if (flag->value.arity == Arity::kInline) {
+      value = eq == std::string_view::npos ? flag->value.implicit
+                                          : token.substr(eq + 1);
+    } else if (flag->value.arity == Arity::kValue) {
+      if (i + 1 == args.size()) {
+        std::fprintf(stderr, "--%s needs a value\n", flag->name);
+        return false;
+      }
+      value = args[++i];
+    }
+    if (!flag->value.set(value)) {
+      std::fprintf(stderr, "invalid value for --%s: %.*s\n", flag->name,
+                   static_cast<int>(value.size()), value.data());
+      return false;
+    }
+    given.insert(flag->name);
+  }
+  for (const Flag& flag : flags) {
+    if (!given.contains(flag.name)) {
+      if (flag.required) {
+        std::fprintf(stderr, "%s needs --%s\n", command, flag.name);
+        return false;
+      }
+      continue;
+    }
+    if (flag.needs != nullptr && !given.contains(flag.needs)) {
+      std::fprintf(stderr, "--%s requires --%s\n", flag.name, flag.needs);
+      return false;
+    }
+    for (const char* other : flag.excludes) {
+      if (given.contains(other)) {
+        std::fprintf(stderr, "--%s cannot be combined with --%s\n", flag.name,
+                     other);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// generate / campaign
+
+// The catalog knobs generate and campaign share, appended to `rows`.
+std::vector<Flag> with_catalog_flags(meas::CatalogConfig& c,
+                                     std::vector<Flag> rows) {
+  rows.push_back({"scale", number(c.scale, 1e-6, 1.0, "S")});
+  rows.push_back({"seed", number<std::uint64_t>(c.seed, 0, UINT64_MAX)});
+  rows.push_back({"faults", number(c.fault_intensity, 0.0, 1.0, "F")});
+  rows.push_back(
+      {"fault-seed", number<std::uint64_t>(c.fault_seed, 0, UINT64_MAX)});
+  return rows;
+}
+
+struct GenerateFlags {
+  std::string dataset;
+  std::string out;
+  meas::CatalogConfig catalog;
+};
+
+std::vector<Flag> generate_flags(GenerateFlags& o) {
+  return with_catalog_flags(
+      o.catalog,
+      {{.name = "dataset",
+        .value = {Arity::kValue, "NAME",
+                  [&o](std::string_view v) {
+                    o.dataset = v;
+                    return meas::Catalog::is_dataset_name(v);
+                  }},
+        .required = true},
+       {.name = "out", .value = path(o.out), .required = true}});
+}
+
+int cmd_generate(const GenerateFlags& o) {
+  meas::Catalog catalog{o.catalog};
+  const meas::Dataset& ds = catalog.by_name(o.dataset);
+
+  std::ofstream os{o.out};
+  if (!os) {
+    std::fprintf(stderr, "cannot open %s for writing\n", o.out.c_str());
+    return kExitUnreadable;
+  }
+  meas::write_dataset(os, ds);
+  std::printf("wrote %s: %zu hosts, %zu measurements (%zu completed)\n",
+              o.out.c_str(), ds.hosts.size(), ds.measurements.size(),
+              ds.completed_count());
+  return kExitOk;
+}
+
+struct CampaignFlags {
+  meas::CampaignOptions campaign;
+  std::optional<double> checkpoint_every_hours;
+};
+
+std::vector<Flag> campaign_flags(CampaignFlags& o) {
+  meas::CampaignOptions& c = o.campaign;
+  return with_catalog_flags(
+      c.catalog,
+      {{.name = "out-dir",
+        .value = path(c.output_dir, "DIR"),
+        .required = true},
+       {"datasets", dataset_list(c.datasets)},
+       {"checkpoint-dir", path(c.checkpoint_dir, "DIR")},
+       {.name = "resume", .value = bare(c.resume), .needs = "checkpoint-dir"},
+       {"checkpoint-every-hours",
+        number(o.checkpoint_every_hours, 1e-9, 1e9, "H")},
+       // K also folds into the checkpoint fingerprint, so resuming under a
+       // different K discards the stale checkpoint instead of splicing runs.
+       {"disjoint", number(c.disjoint_k, 1, 1'000'000, "K")}});
+}
+
 // Writes the campaign-level disjoint report for one finished dataset:
 // deterministic TSV (stable column set, %.6g values, table.edges() order),
 // written atomically next to the dataset output.  The min-samples floor
@@ -328,44 +379,22 @@ std::vector<std::string> split_csv(const std::string& s) {
 // exit code.
 int write_disjoint_report(const std::string& out_dir, const std::string& name,
                           int k, double scale) {
-  const std::string ds_path = out_dir + "/" + name + ".ds";
-  std::ifstream is{ds_path};
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", ds_path.c_str());
-    return kExitUnreadable;
-  }
-  std::string error;
-  auto parsed = meas::read_dataset(is, &error);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "parse error in %s: %s\n", ds_path.c_str(),
-                 error.c_str());
-    return kExitParseError;
-  }
+  const auto loaded = meas::load_dataset(out_dir + "/" + name + ".ds");
+  if (!loaded.is_ok()) return fail(loaded.status(), name);
   core::BuildOptions build;
   build.min_samples =
       std::max(3, static_cast<int>(std::llround(30.0 * scale)));
   build.cancel = &g_cancel;
-  const auto built = core::PathTable::build_checked(*parsed, build);
-  if (!built.is_ok()) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                 built.status().to_string().c_str());
-    return exit_code_for(built.status());
-  }
+  const auto built = core::PathTable::build_checked(loaded.value(), build);
+  if (!built.is_ok()) return fail(built.status(), name);
   const core::PathTable& table = built.value();
   const Status valid = core::validate_disjoint_k(k, table.hosts().size());
-  if (!valid.is_ok()) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), valid.to_string().c_str());
-    return exit_code_for(valid);
-  }
+  if (!valid.is_ok()) return fail(valid, name);
   core::DisjointOptions opt;
   opt.k = k;
   opt.cancel = &g_cancel;
   const auto swept = core::compute_disjoint_alternates(table, opt);
-  if (!swept.is_ok()) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                 swept.status().to_string().c_str());
-    return exit_code_for(swept.status());
-  }
+  if (!swept.is_ok()) return fail(swept.status(), name);
   std::string tsv;
   tsv += "# disjoint alternates: dataset=" + name + " mode=" +
          core::to_string(opt.mode) + " k=" + std::to_string(k) +
@@ -374,81 +403,21 @@ int write_disjoint_report(const std::string& out_dir, const std::string& name,
   tsv += core::render_disjoint_rows(swept.value(), '\t');
   const std::string tsv_path = out_dir + "/" + name + ".disjoint.tsv";
   const Status wrote = write_file_atomic(tsv_path, tsv);
-  if (!wrote.is_ok()) {
-    std::fprintf(stderr, "%s\n", wrote.to_string().c_str());
-    return exit_code_for(wrote);
-  }
+  if (!wrote.is_ok()) return fail(wrote);
   std::printf("wrote %s\n", tsv_path.c_str());
   return kExitOk;
 }
 
-int cmd_campaign(const FlagMap& flags) {
-  const auto out_dir = flags.find("out-dir");
-  if (out_dir == flags.end()) {
-    std::fprintf(stderr, "campaign needs --out-dir\n");
-    return kExitUsage;
+int cmd_campaign(const CampaignFlags& o) {
+  meas::CampaignOptions options = o.campaign;
+  if (o.checkpoint_every_hours) {
+    options.checkpoint_interval = Duration::hours(*o.checkpoint_every_hours);
   }
-  meas::CampaignOptions options;
-  options.output_dir = out_dir->second;
-  if (const auto it = flags.find("datasets"); it != flags.end()) {
-    options.datasets = split_csv(it->second);
-    if (options.datasets.empty()) {
-      std::fprintf(stderr, "--datasets needs at least one name\n");
-      return kExitUsage;
-    }
-    for (const std::string& name : options.datasets) {
-      if (!meas::Catalog::is_dataset_name(name)) {
-        std::fprintf(stderr, "unknown dataset: %s\n", name.c_str());
-        return kExitUsage;
-      }
-    }
-  }
-  double scale = 1.0;
-  if (!flag_double(flags, "scale", 1e-6, 1.0, scale)) return kExitUsage;
-  options.catalog.scale = scale;
-  if (!flag_u64(flags, "seed", options.catalog.seed)) return kExitUsage;
-  if (!flag_double(flags, "faults", 0.0, 1.0,
-                   options.catalog.fault_intensity)) {
-    return kExitUsage;
-  }
-  if (!flag_u64(flags, "fault-seed", options.catalog.fault_seed)) {
-    return kExitUsage;
-  }
-  if (const auto it = flags.find("checkpoint-dir"); it != flags.end()) {
-    options.checkpoint_dir = it->second;
-  }
-  options.resume = flags.contains("resume");
-  if (options.resume && options.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return kExitUsage;
-  }
-  double every_hours = 0.0;
-  if (!flag_double(flags, "checkpoint-every-hours", 1e-9, 1e9, every_hours)) {
-    return kExitUsage;
-  }
-  if (flags.contains("checkpoint-every-hours")) {
-    options.checkpoint_interval = Duration::hours(every_hours);
-  }
-  std::int64_t disjoint_k = 0;
-  if (!flag_i64(flags, "disjoint", 1, 1'000'000, disjoint_k)) {
-    return kExitUsage;
-  }
-  options.disjoint_k = static_cast<int>(disjoint_k);
-  if (!arm_deadline(flags)) return kExitUsage;
   options.cancel = &g_cancel;
-
-  // PATHSEL_TEST_CRASH_AFTER=N hard-kills the process (SIGKILL, no cleanup)
-  // right after the N-th checkpoint write; the kill-and-resume tests use it
-  // to simulate a machine crash at a reproducible instant.
-  if (const char* crash_env = std::getenv("PATHSEL_TEST_CRASH_AFTER")) {
-    const long crash_after = std::strtol(crash_env, nullptr, 10);
-    if (crash_after > 0) {
-      options.after_checkpoint = [crash_after](std::size_t writes) {
-        if (writes >= static_cast<std::size_t>(crash_after)) {
-          std::raise(SIGKILL);
-        }
-      };
-    }
+  if (const std::size_t crash_after = test_crash_after(); crash_after > 0) {
+    options.after_checkpoint = [crash_after](std::size_t writes) {
+      if (writes >= crash_after) std::raise(SIGKILL);
+    };
   }
 
   const meas::CampaignReport report = meas::run_campaign(options);
@@ -466,13 +435,13 @@ int cmd_campaign(const FlagMap& flags) {
                 resumed ? " (resumed from checkpoint)" : "");
   }
   if (!report.status.is_ok()) {
-    std::fprintf(stderr, "%s\n", report.status.to_string().c_str());
+    const int rc = fail(report.status);
     if (!report.stopped_in.empty()) {
       std::fprintf(stderr, "interrupted in %s%s\n", report.stopped_in.c_str(),
                    options.checkpoint_dir.empty() ? ""
                                                   : "; checkpoint written");
     }
-    return exit_code_for(report.status);
+    return rc;
   }
   if (options.disjoint_k > 0) {
     // Reports cover every dataset the run left finished on disk, whether it
@@ -490,55 +459,47 @@ int cmd_campaign(const FlagMap& flags) {
   return kExitOk;
 }
 
+// ---------------------------------------------------------------------------
+// matrix
+
+struct MatrixFlags {
+  std::string grid;
+  matrix::MatrixOptions matrix;
+};
+
+std::vector<Flag> matrix_flags(MatrixFlags& o) {
+  return {{.name = "grid", .value = path(o.grid), .required = true},
+          {.name = "work-dir",
+           .value = path(o.matrix.work_dir, "DIR"),
+           .required = true},
+          {"workers", number(o.matrix.workers, 0, matrix::kMaxWorkers)},
+          {"threads", number(o.matrix.threads, 1, 4096)},
+          {"resume", bare(o.matrix.resume)}};
+}
+
 // `matrix` expands a declarative grid file into scenario cells and fans them
 // out over N forked workers coordinating through a flock work queue; the
 // merged report is byte-identical for any worker count and across
 // kill/resume.  The grid file is parsed and rejected (exit 2) before any
 // work-dir I/O happens, so a typo never scribbles on a previous run's state.
-int cmd_matrix(const FlagMap& flags) {
-  const auto grid_it = flags.find("grid");
-  const auto work_it = flags.find("work-dir");
-  if (grid_it == flags.end() || work_it == flags.end()) {
-    std::fprintf(stderr, "matrix needs --grid and --work-dir\n");
-    return kExitUsage;
-  }
-  std::int64_t workers = 0;
-  if (!flag_i64(flags, "workers", 0, matrix::kMaxWorkers, workers)) {
-    return kExitUsage;
-  }
-  std::int64_t threads = 0;
-  if (!flag_i64(flags, "threads", 1, 1'000'000, threads)) return kExitUsage;
-  if (!arm_deadline(flags)) return kExitUsage;
-
-  const Result<std::string> text = read_file(grid_it->second);
-  if (!text.is_ok()) {
-    std::fprintf(stderr, "%s\n", text.status().to_string().c_str());
-    return kExitUnreadable;
-  }
+int cmd_matrix(const MatrixFlags& o) {
+  const Result<std::string> text = read_file(o.grid);
+  if (!text.is_ok()) return fail(text.status());
   const Result<matrix::GridConfig> grid = matrix::parse_grid(text.value());
   if (!grid.is_ok()) {
     // A malformed grid is a usage error by contract, whatever code the
     // parser classified it under — and nothing has been written yet.
-    std::fprintf(stderr, "%s: %s\n", grid_it->second.c_str(),
+    std::fprintf(stderr, "%s: %s\n", o.grid.c_str(),
                  grid.status().message().c_str());
     return kExitUsage;
   }
 
-  matrix::MatrixOptions options;
+  matrix::MatrixOptions options = o.matrix;
   options.grid = grid.value();
-  options.work_dir = work_it->second;
-  options.workers = static_cast<int>(workers);
-  options.threads = static_cast<int>(threads);
-  options.resume = flags.contains("resume");
   options.cancel = &g_cancel;
   // Same crash-injection contract as `campaign`, plus a worker selector so
   // the multi-worker kill-and-resume test can kill one specific worker.
-  if (const char* crash_env = std::getenv("PATHSEL_TEST_CRASH_AFTER")) {
-    const long crash_after = std::strtol(crash_env, nullptr, 10);
-    if (crash_after > 0) {
-      options.crash_after = static_cast<std::size_t>(crash_after);
-    }
-  }
+  options.crash_after = test_crash_after();
   if (const char* worker_env = std::getenv("PATHSEL_MATRIX_CRASH_WORKER")) {
     const long crash_worker = std::strtol(worker_env, nullptr, 10);
     if (crash_worker >= 0 && crash_worker < matrix::kMaxWorkers) {
@@ -550,10 +511,7 @@ int cmd_matrix(const FlagMap& flags) {
   for (const std::string& note : report.notes) {
     std::fprintf(stderr, "%s\n", note.c_str());
   }
-  if (!report.status.is_ok()) {
-    std::fprintf(stderr, "%s\n", report.status.to_string().c_str());
-    return exit_code_for(report.status);
-  }
+  if (!report.status.is_ok()) return fail(report.status);
   std::fprintf(stderr, "matrix: %zu cells (%zu reused), report %s\n",
                report.cells_total, report.cells_reused,
                report.report_path.c_str());
@@ -563,71 +521,21 @@ int cmd_matrix(const FlagMap& flags) {
   return kExitOk;
 }
 
-int cmd_generate(const FlagMap& flags) {
-  const auto dataset = flags.find("dataset");
-  const auto out = flags.find("out");
-  if (dataset == flags.end() || out == flags.end()) {
-    std::fprintf(stderr, "generate needs --dataset and --out\n");
-    return kExitUsage;
-  }
-  static const std::set<std::string> kNames{"D2",  "D2-NA", "N2",    "N2-NA",
-                                            "UW1", "UW3",   "UW4-A", "UW4-B"};
-  if (!kNames.contains(dataset->second)) {
-    std::fprintf(stderr, "unknown dataset: %s\n", dataset->second.c_str());
-    return kExitUsage;
-  }
+// ---------------------------------------------------------------------------
+// info / analyze
 
-  meas::CatalogConfig cfg;
-  double scale = 1.0;
-  if (!flag_double(flags, "scale", 1e-6, 1.0, scale)) return kExitUsage;
-  cfg.scale = scale;
-  if (!flag_u64(flags, "seed", cfg.seed)) return kExitUsage;
-  if (!flag_double(flags, "faults", 0.0, 1.0, cfg.fault_intensity)) {
-    return kExitUsage;
-  }
-  if (!flag_u64(flags, "fault-seed", cfg.fault_seed)) return kExitUsage;
+struct InfoFlags {
+  std::string in;
+};
 
-  meas::Catalog catalog{cfg};
-  const meas::Dataset& ds = catalog.by_name(dataset->second);
-
-  std::ofstream os{out->second};
-  if (!os) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out->second.c_str());
-    return kExitUnreadable;
-  }
-  meas::write_dataset(os, ds);
-  std::printf("wrote %s: %zu hosts, %zu measurements (%zu completed)\n",
-              out->second.c_str(), ds.hosts.size(), ds.measurements.size(),
-              ds.completed_count());
-  return kExitOk;
+std::vector<Flag> info_flags(InfoFlags& o) {
+  return {{.name = "in", .value = path(o.in), .required = true}};
 }
 
-// Loads --in into `ds`; nonzero return is the process exit code.
-int load(const FlagMap& flags, meas::Dataset& ds) {
-  const auto in = flags.find("in");
-  if (in == flags.end()) {
-    std::fprintf(stderr, "missing --in FILE\n");
-    return kExitUsage;
-  }
-  std::ifstream is{in->second};
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", in->second.c_str());
-    return kExitUnreadable;
-  }
-  std::string error;
-  auto parsed = meas::read_dataset(is, &error);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "parse error in %s: %s\n", in->second.c_str(),
-                 error.c_str());
-    return kExitParseError;
-  }
-  ds = std::move(*parsed);
-  return kExitOk;
-}
-
-int cmd_info(const FlagMap& flags) {
-  meas::Dataset ds;
-  if (const int rc = load(flags, ds); rc != kExitOk) return rc;
+int cmd_info(const InfoFlags& o) {
+  const auto loaded = meas::load_dataset(o.in);
+  if (!loaded.is_ok()) return fail(loaded.status());
+  const meas::Dataset& ds = loaded.value();
   Table table{"dataset " + ds.name};
   table.set_header({"field", "value"});
   table.add_row({"kind", ds.kind == meas::MeasurementKind::kTraceroute
@@ -695,10 +603,7 @@ int run_post_processing(const core::ResultColumns& columns, int threads,
   const auto cdf = core::improvement_cdf(columns, threads);
   const auto tally_checked =
       core::classify_significance_checked(columns, 0.95, threads, &g_cancel);
-  if (!tally_checked.is_ok()) {
-    std::fprintf(stderr, "%s\n", tally_checked.status().to_string().c_str());
-    return exit_code_for(tally_checked.status());
-  }
+  if (!tally_checked.is_ok()) return fail(tally_checked.status());
   const core::SignificanceTally& tally = tally_checked.value();
   std::printf("pairs analyzed: %zu\n", columns.size());
   std::printf("better alternate exists: %.0f%%\n",
@@ -718,176 +623,153 @@ int run_post_processing(const core::ResultColumns& columns, int threads,
   return kExitOk;
 }
 
-int cmd_analyze(const FlagMap& flags) {
-  // Validate every flag before touching the input file, so usage errors are
-  // reported as such even when the file is also bad.
-  const auto metric_it = flags.find("metric");
-  const std::string metric = metric_it == flags.end() ? "rtt" : metric_it->second;
-  if (metric != "rtt" && metric != "loss" && metric != "bandwidth") {
-    std::fprintf(stderr, "unknown metric: %s\n", metric.c_str());
-    return kExitUsage;
-  }
-
-  // The split-run flags bound what the run can do: --results-out stops after
-  // the sweep (post-processing flags would silently do nothing), --results-in
-  // starts after it (sweep-shaping flags could not be honoured).  Both are
-  // usage errors caught before any file is touched.
-  const bool results_out = flags.contains("results-out");
-  const bool results_in = flags.contains("results-in");
-  if (results_out) {
-    for (const char* other : {"results-in", "csv", "coverage", "disjoint"}) {
-      if (flags.contains(other)) {
-        std::fprintf(stderr, "--results-out cannot be combined with --%s\n",
-                     other);
-        return kExitUsage;
-      }
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr,
-                   "--results-out does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-  }
-  if (results_in) {
-    for (const char* other :
-         {"in", "metric", "min-samples", "one-hop", "kernel", "simd",
-          "coverage", "disjoint", "disjoint-mode"}) {
-      if (flags.contains(other)) {
-        std::fprintf(stderr,
-                     "--results-in reads a finished sweep; it cannot be "
-                     "combined with --%s\n",
-                     other);
-        return kExitUsage;
-      }
-    }
-  }
-
-  core::Kernel kernel = core::Kernel::kAuto;
-  if (const auto it = flags.find("kernel"); it != flags.end()) {
-    if (it->second == "auto") {
-      kernel = core::Kernel::kAuto;
-    } else if (it->second == "dense") {
-      kernel = core::Kernel::kDense;
-    } else if (it->second == "search") {
-      kernel = core::Kernel::kSearch;
-    } else {
-      std::fprintf(stderr, "invalid value for --kernel: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr, "--kernel does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-    if (kernel == core::Kernel::kDense && !flags.contains("one-hop")) {
-      std::fprintf(stderr, "--kernel dense requires --one-hop\n");
-      return kExitUsage;
-    }
-  }
-
-  core::SimdMode simd = core::SimdMode::kAuto;
-  if (const auto it = flags.find("simd"); it != flags.end()) {
-    if (it->second == "auto") {
-      simd = core::SimdMode::kAuto;
-    } else if (it->second == "avx2") {
-      simd = core::SimdMode::kAvx2;
-    } else if (it->second == "scalar") {
-      simd = core::SimdMode::kScalar;
-    } else {
-      std::fprintf(stderr, "invalid value for --simd: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr, "--simd does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-  }
-
-  // The disjoint analyzer replaces the alternate sweep; a malformed or
-  // non-positive K is a usage error here, while a K exceeding the graph's
-  // N-2 ceiling is a data error detected after the dataset loads.
-  std::int64_t disjoint_k = 0;
+struct AnalyzeFlags {
+  std::optional<std::string> in;
+  std::string metric = "rtt";
+  int min_samples = 30;
+  bool one_hop = false;
+  bool csv = false;
+  bool coverage = false;
+  int threads = 0;  // 0: $PATHSEL_THREADS, else the hardware thread count
+  std::optional<core::Kernel> kernel;
+  std::optional<core::SimdMode> simd;
+  int disjoint_k = 0;  // 0: the alternate-path sweep, not the disjoint analyzer
   core::DisjointMode disjoint_mode = core::DisjointMode::kLinkDisjoint;
-  if (flags.contains("disjoint")) {
-    if (!flag_i64(flags, "disjoint", 1, 1'000'000, disjoint_k)) {
-      return kExitUsage;
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr, "--disjoint does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-    for (const char* other : {"one-hop", "kernel", "simd"}) {
-      if (flags.contains(other)) {
-        std::fprintf(stderr, "--disjoint cannot be combined with --%s\n",
-                     other);
-        return kExitUsage;
-      }
+  std::optional<std::string> results_out;
+  std::optional<std::string> results_in;
+};
+
+// --kernel picks the one-hop sweep's engine and --simd the dense kernel's
+// instruction path; stdout is byte-identical for every choice.  --disjoint K
+// switches to the Suurballe/Bhandari k-disjoint analyzer; a K beyond the
+// graph's N-2 ceiling is a data error (exit 1) found after the dataset loads.
+// --results-out stops after the sweep (post-processing flags would do
+// nothing) and --results-in starts after it (sweep-shaping flags could not be
+// honoured), hence their exclusions.
+std::vector<Flag> analyze_flags(AnalyzeFlags& o) {
+  using core::Kernel;
+  using core::SimdMode;
+  return {
+      {"in", path(o.in)},
+      {"metric", choice(o.metric, {"rtt", "loss", "bandwidth"})},
+      {"min-samples", number(o.min_samples, 1, 1'000'000)},
+      {"one-hop", bare(o.one_hop)},
+      {"csv", bare(o.csv)},
+      {"coverage", bare(o.coverage)},
+      {"threads", number(o.threads, 0, 4096)},
+      {"kernel", choice(o.kernel, {{"auto", Kernel::kAuto},
+                                   {"dense", Kernel::kDense},
+                                   {"search", Kernel::kSearch}})},
+      {"simd", choice(o.simd, {{"auto", SimdMode::kAuto},
+                               {"avx2", SimdMode::kAvx2},
+                               {"scalar", SimdMode::kScalar}})},
+      {.name = "disjoint",
+       .value = number(o.disjoint_k, 1, 1'000'000, "K"),
+       .excludes = {"one-hop", "kernel", "simd"}},
+      {.name = "disjoint-mode",
+       .value = choice(o.disjoint_mode,
+                       {{"link", core::DisjointMode::kLinkDisjoint},
+                        {"node", core::DisjointMode::kNodeDisjoint}}),
+       .needs = "disjoint"},
+      {.name = "results-out",
+       .value = path(o.results_out),
+       .excludes = {"results-in", "csv", "coverage", "disjoint"}},
+      {.name = "results-in",
+       .value = path(o.results_in),
+       .excludes = {"in", "metric", "min-samples", "one-hop", "kernel", "simd",
+                    "coverage", "disjoint", "disjoint-mode"}},
+  };
+}
+
+// The disjoint analyzer's output: a requested-k / found-k table, then the
+// per-pair rows with --csv.
+void print_disjoint(const std::vector<core::PairDisjointResult>& results,
+                    const core::DisjointOptions& opt, bool csv) {
+  std::printf("disjoint analysis: mode=%s, requested k=%d\n",
+              core::to_string(opt.mode), opt.k);
+  std::printf("pairs analyzed: %zu\n", results.size());
+  std::vector<std::size_t> found_hist(static_cast<std::size_t>(opt.k) + 1, 0);
+  std::size_t beats_direct = 0;
+  for (const core::PairDisjointResult& r : results) {
+    ++found_hist[static_cast<std::size_t>(r.found_k())];
+    if (!r.paths.empty() && r.paths.front().value < r.default_value) {
+      ++beats_direct;
     }
   }
-  if (const auto it = flags.find("disjoint-mode"); it != flags.end()) {
-    if (disjoint_k == 0) {
-      std::fprintf(stderr, "--disjoint-mode requires --disjoint K\n");
-      return kExitUsage;
-    }
-    if (it->second == "link") {
-      disjoint_mode = core::DisjointMode::kLinkDisjoint;
-    } else if (it->second == "node") {
-      disjoint_mode = core::DisjointMode::kNodeDisjoint;
-    } else {
-      std::fprintf(stderr, "invalid value for --disjoint-mode: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
-    }
+  Table table_out{"requested k / found k"};
+  table_out.set_header({"found", "pairs", "fraction"});
+  for (std::size_t j = 0; j < found_hist.size(); ++j) {
+    table_out.add_row(
+        {std::to_string(j) + " / " + std::to_string(opt.k),
+         std::to_string(found_hist[j]),
+         Table::fmt(results.empty()
+                        ? 0.0
+                        : 100.0 * static_cast<double>(found_hist[j]) /
+                              static_cast<double>(results.size()),
+                    1) +
+             "%"});
   }
+  table_out.print(std::cout);
+  std::printf("best disjoint alternate beats direct: %.0f%%\n",
+              results.empty()
+                  ? 0.0
+                  : 100.0 * static_cast<double>(beats_direct) /
+                        static_cast<double>(results.size()));
+  if (csv) {
+    const std::string rows = core::render_disjoint_rows(results, ',');
+    std::fwrite(rows.data(), 1, rows.size(), stdout);
+  }
+}
 
-  // 0 resolves to default_thread_count() (PATHSEL_THREADS env override, else
-  // hardware_concurrency); --threads 1 forces the serial path.
-  std::int64_t threads = 0;
-  if (!flag_i64(flags, "threads", 0, 4096, threads)) return kExitUsage;
-
-  core::BuildOptions build;
-  build.min_samples = 30;
-  std::int64_t min_samples = build.min_samples;
-  if (!flag_i64(flags, "min-samples", 1, 1'000'000, min_samples)) {
+int cmd_analyze(const AnalyzeFlags& o) {
+  // The rules that depend on a value; like the table's, they are checked
+  // before any file is touched.
+  if (o.metric == "bandwidth" &&
+      (o.kernel || o.simd || o.disjoint_k > 0 || o.results_out)) {
+    std::fprintf(stderr, "--kernel, --simd, --disjoint and --results-out do "
+                         "not apply to bandwidth analysis\n");
     return kExitUsage;
   }
-  build.min_samples = static_cast<int>(min_samples);
-  build.threads = static_cast<int>(threads);
-  if (!arm_deadline(flags)) return kExitUsage;
-  build.cancel = &g_cancel;
+  if (o.kernel == core::Kernel::kDense && !o.one_hop) {
+    std::fprintf(stderr, "--kernel dense requires --one-hop\n");
+    return kExitUsage;
+  }
+  if (!o.in && !o.results_in) {
+    std::fprintf(stderr, "analyze needs --in FILE or --results-in FILE\n");
+    return kExitUsage;
+  }
 
-  if (results_in) {
-    const std::string& path = flags.at("results-in");
-    const auto sets = core::read_result_columns(path);
-    if (!sets.is_ok()) {
-      std::fprintf(stderr, "%s\n", sets.status().to_string().c_str());
-      return exit_code_for(sets.status());
-    }
+  if (o.results_in) {
+    const auto sets = core::read_result_columns(*o.results_in);
+    if (!sets.is_ok()) return fail(sets.status());
     if (sets.value().size() != 1) {
       std::fprintf(stderr,
                    "%s holds %zu column sets; analyze --results-in needs "
                    "exactly one\n",
-                   path.c_str(), sets.value().size());
+                   o.results_in->c_str(), sets.value().size());
       return kExitDataError;
     }
-    return run_post_processing(sets.value().front(), static_cast<int>(threads),
-                               nullptr, flags.contains("csv"));
+    return run_post_processing(sets.value().front(), o.threads, nullptr,
+                               o.csv);
   }
 
-  meas::Dataset ds;
-  if (const int rc = load(flags, ds); rc != kExitOk) return rc;
+  const auto loaded = meas::load_dataset(*o.in);
+  if (!loaded.is_ok()) return fail(loaded.status());
+  const meas::Dataset& ds = loaded.value();
+  core::BuildOptions build;
+  build.min_samples = o.min_samples;
+  build.threads = o.threads;
+  build.cancel = &g_cancel;
+  const core::Metric metric =
+      o.metric == "rtt" ? core::Metric::kRtt : core::Metric::kLoss;
 
-  if (metric == "bandwidth") {
+  if (o.metric == "bandwidth") {
     if (ds.kind != meas::MeasurementKind::kTcpTransfer) {
       std::fprintf(stderr, "bandwidth analysis needs a tcp dataset\n");
       return kExitDataError;
     }
     const auto built = core::PathTable::build_checked(ds, build);
-    if (!built.is_ok()) {
-      std::fprintf(stderr, "%s\n", built.status().to_string().c_str());
-      return exit_code_for(built.status());
-    }
+    if (!built.is_ok()) return fail(built.status());
     const core::PathTable& table = built.value();
     std::printf("path graph: %zu measured paths over %zu hosts\n",
                 table.edges().size(), table.hosts().size());
@@ -903,206 +785,131 @@ int cmd_analyze(const FlagMap& flags) {
       std::printf("%s: %zu pairs, %.0f%% with a better one-hop alternate\n",
                   label, results.size(), 100.0 * cdf.fraction_above(0.0));
     }
-    if (flags.contains("coverage")) {
-      print_coverage(core::summarize_coverage(ds, table));
-    }
+    if (o.coverage) print_coverage(core::summarize_coverage(ds, table));
     return kExitOk;
   }
 
-  if (disjoint_k > 0) {
+  if (o.disjoint_k > 0) {
     const auto built = core::PathTable::build_checked(ds, build);
-    if (!built.is_ok()) {
-      std::fprintf(stderr, "%s\n", built.status().to_string().c_str());
-      return exit_code_for(built.status());
-    }
+    if (!built.is_ok()) return fail(built.status());
     const core::PathTable& table = built.value();
     std::printf("path graph: %zu measured paths over %zu hosts\n",
                 table.edges().size(), table.hosts().size());
     const Status valid =
-        core::validate_disjoint_k(static_cast<int>(disjoint_k),
-                                  table.hosts().size());
-    if (!valid.is_ok()) {
-      std::fprintf(stderr, "%s\n", valid.to_string().c_str());
-      return exit_code_for(valid);
-    }
+        core::validate_disjoint_k(o.disjoint_k, table.hosts().size());
+    if (!valid.is_ok()) return fail(valid);
     core::DisjointOptions opt;
-    opt.metric =
-        metric == "rtt" ? core::Metric::kRtt : core::Metric::kLoss;
-    opt.k = static_cast<int>(disjoint_k);
-    opt.mode = disjoint_mode;
-    opt.threads = static_cast<int>(threads);
+    opt.metric = metric;
+    opt.k = o.disjoint_k;
+    opt.mode = o.disjoint_mode;
+    opt.threads = o.threads;
     opt.cancel = &g_cancel;
     const auto swept = core::compute_disjoint_alternates(table, opt);
-    if (!swept.is_ok()) {
-      std::fprintf(stderr, "%s\n", swept.status().to_string().c_str());
-      return exit_code_for(swept.status());
-    }
-    const std::vector<core::PairDisjointResult>& results = swept.value();
-    std::printf("disjoint analysis: mode=%s, requested k=%d\n",
-                core::to_string(opt.mode), opt.k);
-    std::printf("pairs analyzed: %zu\n", results.size());
-    std::vector<std::size_t> found_hist(
-        static_cast<std::size_t>(opt.k) + 1, 0);
-    std::size_t beats_direct = 0;
-    for (const core::PairDisjointResult& r : results) {
-      ++found_hist[static_cast<std::size_t>(r.found_k())];
-      if (!r.paths.empty() && r.paths.front().value < r.default_value) {
-        ++beats_direct;
-      }
-    }
-    Table table_out{"requested k / found k"};
-    table_out.set_header({"found", "pairs", "fraction"});
-    for (std::size_t j = 0; j < found_hist.size(); ++j) {
-      table_out.add_row(
-          {std::to_string(j) + " / " + std::to_string(opt.k),
-           std::to_string(found_hist[j]),
-           Table::fmt(results.empty()
-                          ? 0.0
-                          : 100.0 * static_cast<double>(found_hist[j]) /
-                                static_cast<double>(results.size()),
-                      1) +
-               "%"});
-    }
-    table_out.print(std::cout);
-    std::printf("best disjoint alternate beats direct: %.0f%%\n",
-                results.empty()
-                    ? 0.0
-                    : 100.0 * static_cast<double>(beats_direct) /
-                          static_cast<double>(results.size()));
-    if (flags.contains("csv")) {
-      const std::string rows = core::render_disjoint_rows(results, ',');
-      std::fwrite(rows.data(), 1, rows.size(), stdout);
-    }
+    if (!swept.is_ok()) return fail(swept.status());
+    print_disjoint(swept.value(), opt, o.csv);
     return kExitOk;
   }
 
   core::AnalyzerOptions analyze;
-  analyze.metric = metric == "rtt" ? core::Metric::kRtt : core::Metric::kLoss;
-  if (flags.contains("one-hop")) analyze.max_intermediate_hosts = 1;
-  analyze.threads = static_cast<int>(threads);
+  analyze.metric = metric;
+  if (o.one_hop) analyze.max_intermediate_hosts = 1;
+  analyze.threads = o.threads;
   analyze.cancel = &g_cancel;
-  analyze.kernel = kernel;
-  analyze.simd = simd;
+  analyze.kernel = o.kernel.value_or(core::Kernel::kAuto);
+  analyze.simd = o.simd.value_or(core::SimdMode::kAuto);
 
   auto result = core::analyze_columns_with_coverage(ds, build, analyze);
-  if (!result.is_ok()) {
-    std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
-    return exit_code_for(result.status());
-  }
+  if (!result.is_ok()) return fail(result.status());
   core::DegradedColumnsAnalysis& analysis = result.value();
   std::printf("path graph: %zu measured paths over %zu hosts\n",
               analysis.coverage.usable_edges, analysis.coverage.hosts);
-  if (results_out) {
+  if (o.results_out) {
     // Stop after the sweep: classify (so the file carries the verdicts) and
     // write the columns.  stdout holds only the `path graph:` line, so a
     // later --results-in run's stdout concatenates to the fused output.
-    const std::string& path = flags.at("results-out");
     const Status annotated = core::annotate_significance(
-        analysis.columns, 0.95, static_cast<int>(threads), &g_cancel);
-    if (!annotated.is_ok()) {
-      std::fprintf(stderr, "%s\n", annotated.to_string().c_str());
-      return exit_code_for(annotated);
-    }
+        analysis.columns, 0.95, o.threads, &g_cancel);
+    if (!annotated.is_ok()) return fail(annotated);
     const Status wrote = core::write_result_columns(
-        path, std::span<const core::ResultColumns>{&analysis.columns, 1});
-    if (!wrote.is_ok()) {
-      std::fprintf(stderr, "%s\n", wrote.to_string().c_str());
-      return exit_code_for(wrote);
-    }
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
+        *o.results_out,
+        std::span<const core::ResultColumns>{&analysis.columns, 1});
+    if (!wrote.is_ok()) return fail(wrote);
+    std::fprintf(stderr, "wrote %s\n", o.results_out->c_str());
     return kExitOk;
   }
-  return run_post_processing(
-      analysis.columns, static_cast<int>(threads),
-      flags.contains("coverage") ? &analysis.coverage : nullptr,
-      flags.contains("csv"));
+  return run_post_processing(analysis.columns, o.threads,
+                             o.coverage ? &analysis.coverage : nullptr, o.csv);
 }
 
-int cmd_serve(const FlagMap& flags) {
-  // Validate every flag before touching any file, so usage errors are cheap
-  // and never leave a half-initialized journal directory behind.
-  const auto trace_flag = flags.find("trace");
-  if (trace_flag == flags.end()) {
-    std::fprintf(stderr, "serve needs --trace FILE (or - for stdin)\n");
-    return kExitUsage;
-  }
-  std::int64_t readers = 1;
-  std::int64_t queue_cap = 1024;
-  std::int64_t stale_after_ms = 5000;
-  std::int64_t compact_every = 1024;
-  std::int64_t min_samples = 30;
-  std::int64_t threads = 0;
-  if (!flag_i64(flags, "readers", 1, 256, readers) ||
-      !flag_i64(flags, "queue-cap", 1, 1'000'000'000, queue_cap) ||
-      !flag_i64(flags, "stale-after-ms", 0, std::int64_t{1} << 60,
-                stale_after_ms) ||
-      !flag_i64(flags, "compact-every", 0, 1'000'000'000, compact_every) ||
-      !flag_i64(flags, "min-samples", 1, 1'000'000'000, min_samples) ||
-      !flag_i64(flags, "threads", 1, 4096, threads)) {
-    return kExitUsage;
-  }
-  if (flags.contains("resume") && !flags.contains("journal-dir")) {
-    std::fprintf(stderr, "--resume needs --journal-dir\n");
-    return kExitUsage;
-  }
-  if (!arm_deadline(flags)) return kExitUsage;
+// ---------------------------------------------------------------------------
+// serve
 
-  meas::Dataset ds;
-  if (const int rc = load(flags, ds); rc != kExitOk) return rc;
+struct ServeFlags {
+  std::string in;
+  std::string trace;
+  int readers = 1;
+  bool strict_updates = false;
+  serve::ServeOptions serve;
+};
 
-  serve::ServeOptions options;
-  options.build.min_samples = static_cast<int>(min_samples);
+// Query responses print to stdout, byte-identical for every --readers count;
+// diagnostics (rejected updates, journal recovery notes, the closing summary)
+// go to stderr.  --resume replays the journal (plus the newest compacted
+// state snapshot) so a killed server reconverges to its exact pre-crash
+// state.  --strict-updates turns any rejected update into exit 1.
+std::vector<Flag> serve_flags(ServeFlags& o) {
+  serve::ServeOptions& s = o.serve;
+  return {
+      {.name = "in", .value = path(o.in), .required = true},
+      {.name = "trace", .value = path(o.trace, "FILE|-"), .required = true},
+      {"readers", number(o.readers, 1, 256)},
+      {"queue-cap", number<std::size_t>(s.queue_capacity, 1, 1'000'000'000)},
+      {"stale-after-ms",
+       number<std::int64_t>(s.stale_after_ms, 0, std::int64_t{1} << 60, "MS")},
+      {"journal-dir", path(s.journal_dir, "DIR")},
+      {.name = "resume", .value = bare(s.resume), .needs = "journal-dir"},
+      {"compact-every",
+       number<std::uint64_t>(s.compact_every, 0, 1'000'000'000)},
+      {"min-samples", number(s.build.min_samples, 1, 1'000'000'000)},
+      {"threads", number(s.threads, 1, 4096)},
+      {"strict-updates", bare(o.strict_updates)},
+  };
+}
+
+int cmd_serve(const ServeFlags& o) {
+  const auto loaded = meas::load_dataset(o.in);
+  if (!loaded.is_ok()) return fail(loaded.status());
+
+  serve::ServeOptions options = o.serve;
   options.build.cancel = &g_cancel;
-  options.threads = static_cast<int>(threads);
-  options.queue_capacity = static_cast<std::size_t>(queue_cap);
-  options.stale_after_ms = stale_after_ms;
-  if (const auto dir = flags.find("journal-dir"); dir != flags.end()) {
-    options.journal_dir = dir->second;
-  }
-  options.resume = flags.contains("resume");
-  options.compact_every = static_cast<std::uint64_t>(compact_every);
   options.cancel = &g_cancel;
-  options.max_reader_slots = static_cast<std::size_t>(readers);
+  options.max_reader_slots = static_cast<std::size_t>(o.readers);
+  // The crash point is right after the N-th journal append — after the
+  // record is durable but before it mutates anything.
+  options.crash_after_appends = test_crash_after();
 
-  // PATHSEL_TEST_CRASH_AFTER=N hard-kills the server (SIGKILL, no cleanup)
-  // right after the N-th journal append — after the record is durable but
-  // before it mutates anything.  The kill-and-resume tests use it to place
-  // a machine crash at the worst reproducible instant.
-  if (const char* crash_env = std::getenv("PATHSEL_TEST_CRASH_AFTER")) {
-    const long crash_after = std::strtol(crash_env, nullptr, 10);
-    if (crash_after > 0) {
-      options.crash_after_appends = static_cast<std::size_t>(crash_after);
-    }
-  }
-
-  auto engine = serve::ServeEngine::create(ds, options);
-  if (!engine.is_ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().to_string().c_str());
-    return exit_code_for(engine.status());
-  }
+  auto engine = serve::ServeEngine::create(loaded.value(), options);
+  if (!engine.is_ok()) return fail(engine.status());
   for (const std::string& note : engine.value()->recovery_log()) {
     std::fprintf(stderr, "serve: %s\n", note.c_str());
   }
 
   std::ifstream trace_file;
   std::istream* trace_in = &std::cin;
-  if (trace_flag->second != "-") {
-    trace_file.open(trace_flag->second);
+  if (o.trace != "-") {
+    trace_file.open(o.trace);
     if (!trace_file) {
-      std::fprintf(stderr, "cannot open %s\n", trace_flag->second.c_str());
+      std::fprintf(stderr, "cannot open %s\n", o.trace.c_str());
       return kExitUnreadable;
     }
     trace_in = &trace_file;
   }
 
   serve::TraceOptions trace_options;
-  trace_options.readers = static_cast<int>(readers);
+  trace_options.readers = o.readers;
   const Result<serve::TraceStats> stats = serve::run_trace(
       *engine.value(), *trace_in, std::cout, std::cerr, trace_options);
-  if (!stats.is_ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().to_string().c_str());
-    return exit_code_for(stats.status());
-  }
+  if (!stats.is_ok()) return fail(stats.status());
   const serve::ServeCounters counters = engine.value()->counters();
   std::fprintf(stderr,
                "serve: %zu ops, %zu queries, %zu updates accepted, "
@@ -1112,13 +919,16 @@ int cmd_serve(const FlagMap& flags) {
                static_cast<unsigned long long>(counters.updates_applied),
                static_cast<unsigned long long>(counters.updates_shed),
                static_cast<unsigned long long>(counters.snapshots_published));
-  if (flags.contains("strict-updates") && stats.value().rejected > 0) {
+  if (o.strict_updates && stats.value().rejected > 0) {
     std::fprintf(stderr, "serve: --strict-updates and %zu rejections\n",
                  stats.value().rejected);
     return kExitDataError;
   }
   return kExitOk;
 }
+
+// ---------------------------------------------------------------------------
+// version, metrics and dispatch
 
 #ifndef PATHSEL_VERSION
 #define PATHSEL_VERSION "unknown"
@@ -1172,99 +982,137 @@ void dump_metrics(const std::string& format) {
   }
 }
 
-// Runs `cmd` with the registry enabled when --metrics was given, dumping the
-// snapshot afterwards.  The flag value must be "table" or "json".
-int with_metrics(const FlagMap& flags, int (*cmd)(const FlagMap&)) {
-  const auto it = flags.find("metrics");
-  if (it != flags.end()) {
-    if (it->second != "table" && it->second != "json") {
-      std::fprintf(stderr, "invalid value for --metrics: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
+// The options every command shares: --metrics on all of them, --deadline on
+// the interruptible ones.
+struct CommonFlags {
+  std::string metrics;  // empty: registry off
+  std::optional<double> deadline;
+};
+
+Flag metrics_flag(CommonFlags& o) {
+  Value value = choice(o.metrics, {"table", "json"});
+  value.arity = Arity::kInline;
+  value.implicit = "table";
+  return {"metrics", std::move(value)};
+}
+
+// The usage words for a table: required flags bare, the rest bracketed.
+std::vector<std::string> usage_words(const std::vector<Flag>& flags) {
+  std::vector<std::string> words;
+  for (const Flag& flag : flags) {
+    std::string word = std::string{"--"} + flag.name;
+    if (flag.value.arity == Arity::kValue) word += " " + flag.value.meta;
+    if (flag.value.arity == Arity::kInline) {
+      word += "[=" + flag.value.meta + "]";
     }
-    MetricsRegistry::global().enable();
+    words.push_back(flag.required ? word : "[" + word + "]");
   }
-  const int rc = cmd(flags);
-  if (it != flags.end()) dump_metrics(it->second);
-  return rc;
+  return words;
+}
+
+struct Command {
+  const char* name;
+  std::function<std::vector<std::string>()> usage;
+  std::function<int(std::span<char* const>)> run;
+};
+
+// A dispatch entry: the subcommand's flag table over its options struct and
+// the function that runs it.  Interruptible commands also take --deadline,
+// drain on SIGINT/SIGTERM and run under the optional stall watchdog.
+template <typename Opts>
+Command command(const char* name, std::vector<Flag> (*table)(Opts&),
+                int (*run)(const Opts&), bool interruptible) {
+  const auto flags = [table, interruptible](Opts& opts, CommonFlags& common) {
+    std::vector<Flag> rows = table(opts);
+    if (interruptible) {
+      rows.push_back({"deadline", number(common.deadline, 0.0, 1e9, "SEC")});
+    }
+    return rows;
+  };
+  return {name,
+          [flags] {
+            Opts opts;
+            CommonFlags common;
+            return usage_words(flags(opts, common));
+          },
+          [=](std::span<char* const> args) -> int {
+            Opts opts;
+            CommonFlags common;
+            std::vector<Flag> rows = flags(opts, common);
+            rows.push_back(metrics_flag(common));
+            if (!parse_flags(name, args, rows)) return kExitUsage;
+            // A deadline of 0 trips immediately.
+            if (common.deadline) {
+              g_cancel.set_deadline_after_seconds(*common.deadline);
+            }
+            Watchdog dog;
+            if (interruptible) {
+              g_cancel.arm_signal(SIGINT);
+              g_cancel.arm_signal(SIGTERM);
+              Watchdog::start_from_env(dog, &g_cancel);
+            }
+            if (!common.metrics.empty()) MetricsRegistry::global().enable();
+            const int rc = run(opts);
+            if (!common.metrics.empty()) dump_metrics(common.metrics);
+            dog.stop();
+            return rc;
+          }};
+}
+
+int usage(const std::vector<Command>& commands) {
+  std::string text = "usage:\n";
+  for (const Command& cmd : commands) {
+    const std::string head = std::string{"  pathsel_cli "} + cmd.name;
+    std::string line = head;
+    for (const std::string& word : cmd.usage()) {
+      if (line.size() + 1 + word.size() > 79) {
+        text += line + "\n";
+        line.assign(head.size(), ' ');
+      }
+      line += " " + word;
+    }
+    text += line + "\n";
+  }
+  text += "  pathsel_cli version | --version\n";
+  text += "datasets:";
+  for (const std::string& name : meas::Catalog::dataset_names()) {
+    text += " " + name;
+  }
+  CommonFlags common;
+  text += "\n" + usage_words({metrics_flag(common)}).front() +
+          " on every command dumps run metrics to stderr on exit\n"
+          "--threads defaults to the hardware thread count\n"
+          "exit codes: 0 ok, 1 data error, 2 usage, 3 unreadable file,\n"
+          "            4 parse error, 5 interrupted (deadline/signal)\n";
+  std::fputs(text.c_str(), stderr);
+  return kExitUsage;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  FlagMap flags;
-  if (command == "version" || command == "--version") {
+  const std::vector<Command> commands = {
+      command("generate", generate_flags, cmd_generate, false),
+      command("info", info_flags, cmd_info, false),
+      command("analyze", analyze_flags, cmd_analyze, true),
+      command("campaign", campaign_flags, cmd_campaign, true),
+      command("matrix", matrix_flags, cmd_matrix, true),
+      command("serve", serve_flags, cmd_serve, true),
+  };
+  if (argc < 2) return usage(commands);
+  const std::string_view name = argv[1];
+  if (name == "version" || name == "--version") {
     if (argc != 2) {
       std::fprintf(stderr, "version takes no arguments\n");
       return kExitUsage;
     }
     return print_version();
   }
-  if (command == "generate") {
-    if (!parse_flags(argc, argv, 2,
-                     {"dataset", "scale", "seed", "out", "faults", "fault-seed"},
-                     {}, {"metrics"}, flags)) {
-      return kExitUsage;
+  for (const Command& cmd : commands) {
+    if (name == cmd.name) {
+      return cmd.run({argv + 2, static_cast<std::size_t>(argc - 2)});
     }
-    return with_metrics(flags, cmd_generate);
   }
-  if (command == "info") {
-    if (!parse_flags(argc, argv, 2, {"in"}, {}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return with_metrics(flags, cmd_info);
-  }
-  // The long-running commands drain cooperatively on Ctrl-C / TERM and can
-  // be liveness-monitored via PATHSEL_WATCHDOG (see the header comment).
-  const auto run_interruptible = [&flags](int (*cmd)(const FlagMap&)) {
-    g_cancel.arm_signal(SIGINT);
-    g_cancel.arm_signal(SIGTERM);
-    Watchdog dog;
-    Watchdog::start_from_env(dog, &g_cancel);
-    const int rc = with_metrics(flags, cmd);
-    dog.stop();
-    return rc;
-  };
-  if (command == "analyze") {
-    if (!parse_flags(argc, argv, 2,
-                     {"in", "metric", "min-samples", "threads", "deadline",
-                      "kernel", "simd", "disjoint", "disjoint-mode",
-                      "results-out", "results-in"},
-                     {"one-hop", "csv", "coverage"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_analyze);
-  }
-  if (command == "campaign") {
-    if (!parse_flags(argc, argv, 2,
-                     {"out-dir", "datasets", "scale", "seed", "faults",
-                      "fault-seed", "checkpoint-dir", "checkpoint-every-hours",
-                      "deadline", "disjoint"},
-                     {"resume"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_campaign);
-  }
-  if (command == "matrix") {
-    if (!parse_flags(argc, argv, 2,
-                     {"grid", "work-dir", "workers", "threads", "deadline"},
-                     {"resume"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_matrix);
-  }
-  if (command == "serve") {
-    if (!parse_flags(argc, argv, 2,
-                     {"in", "trace", "readers", "queue-cap", "stale-after-ms",
-                      "journal-dir", "compact-every", "min-samples", "threads",
-                      "deadline"},
-                     {"resume", "strict-updates"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_serve);
-  }
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-  return usage();
+  std::fprintf(stderr, "unknown command: %s\n", argv[1]);
+  return usage(commands);
 }
