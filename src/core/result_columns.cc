@@ -1,132 +1,20 @@
 #include "core/result_columns.h"
 
-#include <bit>
-#include <cstring>
-#include <limits>
-
 #include "core/dense_kernel.h"
 #include "util/atomic_io.h"
 #include "util/bench_report.h"
+#include "util/codec.h"
 
 namespace pathsel::core {
 
 namespace {
 
-// ---- little-endian encoding helpers -------------------------------------
-//
-// Bytes are assembled explicitly (shifts, not memcpy of whole words), so the
-// format is identical on every host the toolchain targets.
-
-void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void append_i32(std::string& out, std::int32_t v) {
-  append_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void append_f64(std::string& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-// Bounds-checked forward reader over the serialized image.  Every take_*
-// either succeeds or records a truncation diagnostic; nothing reads past
-// the end, and nothing allocates before its length has been validated
-// against the bytes actually present.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_{bytes} {}
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-
-  [[nodiscard]] std::uint8_t take_u8(const char* what) {
-    if (!need(1, what)) return 0;
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-
-  [[nodiscard]] std::uint32_t take_u32(const char* what) {
-    if (!need(4, what)) return 0;
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t take_u64(const char* what) {
-    if (!need(8, what)) return 0;
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::int32_t take_i32(const char* what) {
-    return static_cast<std::int32_t>(take_u32(what));
-  }
-
-  [[nodiscard]] double take_f64(const char* what) {
-    return std::bit_cast<double>(take_u64(what));
-  }
-
-  /// True when `count` elements of `elem_size` bytes are still present —
-  /// the pre-allocation guard for column lengths.
-  [[nodiscard]] bool fits(std::uint64_t count, std::size_t elem_size) const
-      noexcept {
-    return count <= remaining() / elem_size;
-  }
-
-  void fail(std::string message) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = std::move(message);
-    }
-  }
-
- private:
-  bool need(std::size_t n, const char* what) {
-    if (failed_) return false;
-    if (remaining() < n) {
-      fail(std::string{"truncated file: expected "} + what);
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
-
-template <typename T, typename TakeFn>
-void take_column(Cursor& c, std::vector<T>& out, std::size_t n,
-                 const char* what, TakeFn&& take) {
-  out.clear();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n && !c.failed(); ++i) {
-    out.push_back(take(c, what));
-  }
-}
+// Magic, version and set count plus the CRC-32 trailer: an empty file.
+constexpr std::size_t kEmptyFileBytes = 3 * 4 + 4;
+// Per set: metric, pair count and via count, then 81 bytes per pair
+// (4 i32 + 1 i8 + 8 f64) and 4 per via entry.
+constexpr std::size_t kSetHeaderBytes = 4 + 8 + 8;
+constexpr std::size_t kPairBytes = 4 * 4 + 1 + 8 * 8;
 
 Status parse_error(std::string message) {
   return Status::error(ErrorCode::kParseError,
@@ -267,127 +155,79 @@ std::vector<PairResult> to_pairs(const ResultColumns& columns) {
 }
 
 std::string serialize_result_columns(std::span<const ResultColumns> sets) {
-  std::string out;
-  append_u32(out, kResultColumnsMagic);
-  append_u32(out, kResultColumnsVersion);
-  append_u32(out, static_cast<std::uint32_t>(sets.size()));
+  std::size_t image_bytes = kEmptyFileBytes;
   for (const ResultColumns& c : sets) {
-    const std::size_t n = c.size();
-    append_u32(out, static_cast<std::uint32_t>(c.metric));
-    append_u64(out, static_cast<std::uint64_t>(n));
-    append_u64(out, static_cast<std::uint64_t>(c.via.size()));
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.src[i]);
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.dst[i]);
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.relay[i]);
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.hop_count[i]);
-    for (std::size_t i = 0; i < n; ++i) {
-      append_u8(out, static_cast<std::uint8_t>(c.significance[i]));
-    }
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_value[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.alternate_value[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_mean[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_var[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_dof_denom[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.alternate_mean[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.alternate_var[i]);
-    for (std::size_t i = 0; i < n; ++i) {
-      append_f64(out, c.alternate_dof_denom[i]);
-    }
-    for (std::size_t i = 0; i < c.via.size(); ++i) append_i32(out, c.via[i]);
+    image_bytes += kSetHeaderBytes + c.size() * kPairBytes + c.via.size() * 4;
   }
-  append_u32(out, crc32(out));
-  return out;
+  codec::Writer out{image_bytes};
+  out.u32(kResultColumnsMagic);
+  out.u32(kResultColumnsVersion);
+  out.u32(static_cast<std::uint32_t>(sets.size()));
+  for (const ResultColumns& c : sets) {
+    out.u32(static_cast<std::uint32_t>(c.metric));
+    out.u64(static_cast<std::uint64_t>(c.size()));
+    out.u64(static_cast<std::uint64_t>(c.via.size()));
+    out.column(c.src);
+    out.column(c.dst);
+    out.column(c.relay);
+    out.column(c.hop_count);
+    out.column(c.significance);
+    out.column(c.default_value);
+    out.column(c.alternate_value);
+    out.column(c.default_mean);
+    out.column(c.default_var);
+    out.column(c.default_dof_denom);
+    out.column(c.alternate_mean);
+    out.column(c.alternate_var);
+    out.column(c.alternate_dof_denom);
+    out.column(c.via);
+  }
+  return std::move(out).seal();
 }
 
 Result<std::vector<ResultColumns>> parse_result_columns(
     std::string_view bytes) {
-  // Header + trailing CRC is the smallest well-formed file (zero sets).
-  if (bytes.size() < 16) {
-    return parse_error("truncated file: " + std::to_string(bytes.size()) +
-                       " bytes is smaller than an empty results file");
-  }
-  Cursor header{bytes};
-  const std::uint32_t magic = header.take_u32("magic");
-  if (magic != kResultColumnsMagic) {
-    return parse_error("bad magic: not a pathsel results file");
-  }
-  const std::uint32_t version = header.take_u32("schema version");
-  if (version == 0 || version > kResultColumnsVersion) {
-    return parse_error(
-        "schema version " + std::to_string(version) +
-        " is not supported by this build (reads versions 1.." +
-        std::to_string(kResultColumnsVersion) +
-        "); regenerate the file or upgrade pathsel");
-  }
-  // The CRC is verified before any structural field is trusted, so a bit
-  // flip anywhere — counts included — is reported as corruption, not as
-  // whatever structure the flipped bytes happen to spell.
-  const std::string_view payload = bytes.substr(0, bytes.size() - 4);
-  const std::string_view crc_bytes = bytes.substr(bytes.size() - 4);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(crc_bytes[static_cast<std::size_t>(i)]))
-              << (8 * i);
-  }
-  if (crc32(payload) != stored) {
-    return parse_error("CRC-32 mismatch: file is corrupted or torn");
-  }
-
-  Cursor c{payload};
-  (void)c.take_u32("magic");
-  (void)c.take_u32("schema version");
-  const std::uint32_t set_count = c.take_u32("column-set count");
+  Result<codec::Reader> opened = codec::open_sealed(
+      bytes, {kResultColumnsMagic, kResultColumnsVersion,
+              "PSRC results file", kEmptyFileBytes});
+  if (!opened.is_ok()) return parse_error(opened.status().message());
+  codec::Reader& c = opened.value();
+  const std::uint32_t set_count = c.u32("column-set count");
   std::vector<ResultColumns> sets;
   for (std::uint32_t s = 0; s < set_count && !c.failed(); ++s) {
     ResultColumns cols;
-    const std::uint32_t metric = c.take_u32("metric");
+    const std::uint32_t metric = c.u32("metric");
     if (c.failed()) break;
     if (metric > static_cast<std::uint32_t>(Metric::kPropagation)) {
       return parse_error("unknown metric tag " + std::to_string(metric));
     }
     cols.metric = static_cast<Metric>(metric);
-    const std::uint64_t n64 = c.take_u64("pair count");
-    const std::uint64_t m64 = c.take_u64("via count");
+    const std::uint64_t n64 = c.u64("pair count");
+    const std::uint64_t m64 = c.u64("via count");
     if (c.failed()) break;
-    // Fixed per-pair footprint: 4 i32 + 1 i8 + 8 f64 = 81 bytes, plus 4
-    // per flattened via entry.  Anything larger than the bytes present is
-    // a lie told by a corrupted length field — reject before allocating.
-    if (!c.fits(n64, 81) || !c.fits(m64, 4)) {
+    // A count larger than the bytes present is a lie told by a corrupted
+    // length field — reject before allocating.
+    if (!c.fits(n64, kPairBytes) || !c.fits(m64, 4)) {
       return parse_error("column lengths exceed the file size (pairs=" +
                          std::to_string(n64) + ", via=" + std::to_string(m64) +
                          ")");
     }
     const auto n = static_cast<std::size_t>(n64);
     const auto m = static_cast<std::size_t>(m64);
-    take_column(c, cols.src, n, "src column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.dst, n, "dst column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.relay, n, "relay column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.hop_count, n, "hop_count column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.significance, n, "significance column",
-                [](Cursor& cur, const char* w) {
-                  return static_cast<std::int8_t>(cur.take_u8(w));
-                });
-    const auto take_f64s = [](Cursor& cur, const char* w) {
-      return cur.take_f64(w);
-    };
-    take_column(c, cols.default_value, n, "default_value column", take_f64s);
-    take_column(c, cols.alternate_value, n, "alternate_value column",
-                take_f64s);
-    take_column(c, cols.default_mean, n, "default_mean column", take_f64s);
-    take_column(c, cols.default_var, n, "default_var column", take_f64s);
-    take_column(c, cols.default_dof_denom, n, "default_dof_denom column",
-                take_f64s);
-    take_column(c, cols.alternate_mean, n, "alternate_mean column", take_f64s);
-    take_column(c, cols.alternate_var, n, "alternate_var column", take_f64s);
-    take_column(c, cols.alternate_dof_denom, n, "alternate_dof_denom column",
-                take_f64s);
-    take_column(c, cols.via, m, "via column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
+    c.column(cols.src, n, "src column");
+    c.column(cols.dst, n, "dst column");
+    c.column(cols.relay, n, "relay column");
+    c.column(cols.hop_count, n, "hop_count column");
+    c.column(cols.significance, n, "significance column");
+    c.column(cols.default_value, n, "default_value column");
+    c.column(cols.alternate_value, n, "alternate_value column");
+    c.column(cols.default_mean, n, "default_mean column");
+    c.column(cols.default_var, n, "default_var column");
+    c.column(cols.default_dof_denom, n, "default_dof_denom column");
+    c.column(cols.alternate_mean, n, "alternate_mean column");
+    c.column(cols.alternate_var, n, "alternate_var column");
+    c.column(cols.alternate_dof_denom, n, "alternate_dof_denom column");
+    c.column(cols.via, m, "via column");
     if (c.failed()) break;
 
     // Structural invariants the CRC cannot express: hop counts must tile

@@ -17,7 +17,9 @@
 // test harness (tests/core/result_columns_test.cc) locks in together with
 // byte-identical figure/table/CLI output before and after the port.
 //
-// On disk the columns use a versioned little-endian binary format:
+// On disk the columns use a versioned little-endian binary format (encoded
+// and decoded through util/codec.h, the one place that knows the LE field
+// encoding and the CRC-32 trailer):
 //
 //   u32 magic "PSRC"            (0x43525350 when read as LE u32)
 //   u32 schema version          (currently 1; newer versions are rejected

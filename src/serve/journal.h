@@ -9,6 +9,10 @@
 // replay length) and reconverges to the exact pre-crash state — bit for bit,
 // which the kill/resume acceptance test checks at the stdout level.
 //
+// Both files below are encoded and decoded through util/codec.h, the one
+// place that knows the LE field encoding, the CRC-32 trailer and the shared
+// magic + version check.
+//
 // Journal file (PSJL v1), binary little-endian:
 //
 //   header (36 bytes):

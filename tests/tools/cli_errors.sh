@@ -60,6 +60,12 @@ expect 2 "non-numeric seed" -- generate --dataset UW3 --seed banana --out "$TMP/
 expect 2 "scale out of range" -- generate --dataset UW3 --scale 0 --out "$TMP/x"
 expect 2 "fault intensity out of range" -- \
   generate --dataset UW3 --faults 1.5 --out "$TMP/x"
+# A target that opens but cannot be written (/dev/full fails the flush with
+# ENOSPC) must not report success.
+if [[ -w /dev/full ]]; then
+  expect 3 "generate to a full device" -- \
+    generate --dataset UW3 --scale 0.01 --out /dev/full
+fi
 expect 2 "bad metric" -- analyze --in "$TMP/garbage" --metric vibes
 expect 2 "threads out of range" -- \
   analyze --in "$TMP/garbage" --threads 99999
@@ -320,6 +326,8 @@ expect 3 "serve missing input" -- \
   serve --in "$TMP/no-such-file" --trace -
 expect 3 "serve unreadable trace file" -- \
   serve --in "$TMP/uw3.ds" --min-samples 3 --trace "$TMP/no-such-trace"
+expect 3 "serve trace that is a directory" -- \
+  serve --in "$TMP/uw3.ds" --min-samples 3 --trace "$TMP"
 expect 4 "serve garbage input" -- serve --in "$TMP/garbage" --trace -
 printf 'query best rtt 0 1\n' > "$TMP/one_query.trace"
 expect 0 "serve minimal trace" -- \

@@ -48,6 +48,7 @@
 #include <iostream>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -342,6 +343,10 @@ int cmd_generate(const GenerateFlags& o) {
     return kExitUnreadable;
   }
   meas::write_dataset(os, ds);
+  if (!os.flush()) {
+    std::fprintf(stderr, "cannot write %s\n", o.out.c_str());
+    return kExitUnreadable;
+  }
   std::printf("wrote %s: %zu hosts, %zu measurements (%zu completed)\n",
               o.out.c_str(), ds.hosts.size(), ds.measurements.size(),
               ds.completed_count());
@@ -894,14 +899,12 @@ int cmd_serve(const ServeFlags& o) {
     std::fprintf(stderr, "serve: %s\n", note.c_str());
   }
 
-  std::ifstream trace_file;
+  std::istringstream trace_file;
   std::istream* trace_in = &std::cin;
   if (o.trace != "-") {
-    trace_file.open(o.trace);
-    if (!trace_file) {
-      std::fprintf(stderr, "cannot open %s\n", o.trace.c_str());
-      return kExitUnreadable;
-    }
+    Result<std::string> text = read_file(o.trace);
+    if (!text.is_ok()) return fail(text.status());
+    trace_file.str(std::move(text.value()));
     trace_in = &trace_file;
   }
 
