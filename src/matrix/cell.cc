@@ -1,9 +1,5 @@
 #include "matrix/cell.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "core/confidence.h"
@@ -16,89 +12,27 @@
 #include "meas/campaign.h"
 #include "meas/checkpoint.h"
 #include "meas/serialize.h"
+#include "util/codec.h"
 #include "util/metrics.h"
 
 namespace pathsel::matrix {
 
 namespace {
 
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+// PSMC layout after magic and version, LE:
+//   u64 grid_fp | u64 cell_fp | u64 index | str dataset | f64 fault
+//   | str metric | str policy | i32 min_samples | u64 seed | u8 ok
+//   | ok=0: str error
+//   | ok=1: u64 hosts, measurements, completed, usable_edges, pairs
+//           | f64 coverage, better | u8 has_sig
+//           | f64 sig_better, sig_indeterminate, sig_worse, found_full
+//   | u64 n, n x {str rel_path, u64 size, u32 crc} artifacts | u32 crc
+// magic, version, the fixed ok=0 fields, an empty error and no artifacts.
+constexpr std::size_t kMinPayload = 8 + 3 * 8 + 4 * 8 + 4 + 8 + 1 + 8 + 8;
+constexpr std::size_t kMaxText = 4096;
 
 Status parse_fail(const std::string& what) {
   return Status::error(ErrorCode::kParseError, "cell summary: " + what);
-}
-
-// Strict line cursor over the summary payload: every field is read in the
-// exact order serialize_cell_summary writes it.
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_{text} {}
-
-  bool next(std::string_view& line) {
-    if (pos_ > text_.size()) return false;
-    const std::size_t eol = text_.find('\n', pos_);
-    if (eol == std::string_view::npos) return false;  // payload ends in \n
-    line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
-    return true;
-  }
-
-  // Peek without consuming, for the variable-length artifact list.
-  bool peek(std::string_view& line) {
-    const std::size_t saved = pos_;
-    const bool ok = next(line);
-    pos_ = saved;
-    return ok;
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ >= text_.size(); }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-// Splits "key value" on the first space; the value may itself hold spaces.
-bool key_value(std::string_view line, std::string_view key,
-               std::string_view& value) {
-  if (line.size() < key.size() + 1 || line.substr(0, key.size()) != key ||
-      line[key.size()] != ' ') {
-    return false;
-  }
-  value = line.substr(key.size() + 1);
-  return true;
-}
-
-bool parse_u64_field(std::string_view s, std::uint64_t& out, int base = 10) {
-  const std::string z{s};
-  if (z.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(z.c_str(), &end, base);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_double_field(std::string_view s, double& out) {
-  const std::string z{s};
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(z.c_str(), &end);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 // Identity of a cell's collection: everything that shapes the dataset bytes
@@ -293,186 +227,100 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
 }  // namespace
 
 std::string serialize_cell_summary(const CellSummary& s) {
-  std::string out = "pathsel-matrix-cell v" +
-                    std::to_string(kCellSummaryVersion) + "\n";
-  out += "grid_fp " + hex16(s.grid_fp) + "\n";
-  out += "cell_fp " + hex16(s.cell_fp) + "\n";
-  out += "index " + std::to_string(s.index) + "\n";
-  out += "dataset " + s.dataset + "\n";
-  out += "fault " + fmt17(s.fault) + "\n";
-  out += "metric " + s.metric + "\n";
-  out += "policy " + s.policy + "\n";
-  out += "min_samples " + std::to_string(s.min_samples) + "\n";
-  out += "seed " + std::to_string(s.seed) + "\n";
-  out += std::string{"ok "} + (s.ok ? "1" : "0") + "\n";
+  codec::Writer out;
+  out.u32(kCellSummaryMagic);
+  out.u32(kCellSummaryVersion);
+  out.u64(s.grid_fp);
+  out.u64(s.cell_fp);
+  out.u64(s.index);
+  out.str(s.dataset);
+  out.f64(s.fault);
+  out.str(s.metric);
+  out.str(s.policy);
+  out.i32(s.min_samples);
+  out.u64(s.seed);
+  out.u8(s.ok ? 1 : 0);
   if (!s.ok) {
-    out += "error " + s.error + "\n";
+    out.str(s.error);
   } else {
-    out += "hosts " + std::to_string(s.hosts) + "\n";
-    out += "measurements " + std::to_string(s.measurements) + "\n";
-    out += "completed " + std::to_string(s.completed) + "\n";
-    out += "usable_edges " + std::to_string(s.usable_edges) + "\n";
-    out += "pairs " + std::to_string(s.pairs) + "\n";
-    out += "coverage " + fmt17(s.coverage) + "\n";
-    out += "better " + fmt17(s.better) + "\n";
-    out += std::string{"has_sig "} + (s.has_sig ? "1" : "0") + "\n";
-    out += "sig_better " + fmt17(s.sig_better) + "\n";
-    out += "sig_indeterminate " + fmt17(s.sig_indeterminate) + "\n";
-    out += "sig_worse " + fmt17(s.sig_worse) + "\n";
-    out += "found_full " + fmt17(s.found_full) + "\n";
+    out.u64(s.hosts);
+    out.u64(s.measurements);
+    out.u64(s.completed);
+    out.u64(s.usable_edges);
+    out.u64(s.pairs);
+    out.f64(s.coverage);
+    out.f64(s.better);
+    out.u8(s.has_sig ? 1 : 0);
+    out.f64(s.sig_better);
+    out.f64(s.sig_indeterminate);
+    out.f64(s.sig_worse);
+    out.f64(s.found_full);
   }
+  out.u64(s.artifacts.size());
   for (const CellSummary::Artifact& a : s.artifacts) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, " %llu %08lx",
-                  static_cast<unsigned long long>(a.size),
-                  static_cast<unsigned long>(a.crc));
-    out += "artifact " + a.rel_path + buf + "\n";
+    out.str(a.rel_path);
+    out.u64(a.size);
+    out.u32(a.crc);
   }
-  char crc_line[32];
-  std::snprintf(crc_line, sizeof crc_line, "crc %08lx\n",
-                static_cast<unsigned long>(crc32(out)));
-  return out + crc_line;
+  return std::move(out).seal();
 }
 
-Result<CellSummary> parse_cell_summary(std::string_view text) {
-  // Find the trailing `crc XXXXXXXX\n` line and validate the payload first;
-  // a torn or tampered file never reaches the field parser.
-  if (text.size() < 14 || text.back() != '\n') {
-    return parse_fail("truncated (no trailing crc line)");
-  }
-  const std::size_t crc_pos = text.rfind("crc ", text.size() - 2);
-  if (crc_pos == std::string_view::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return parse_fail("missing crc line");
-  }
-  std::uint64_t stored_crc = 0;
-  const std::string_view crc_value =
-      text.substr(crc_pos + 4, text.size() - crc_pos - 5);
-  if (!parse_u64_field(crc_value, stored_crc, 16)) {
-    return parse_fail("malformed crc line");
-  }
-  const std::string_view payload = text.substr(0, crc_pos);
-  if (crc32(payload) != static_cast<std::uint32_t>(stored_crc)) {
-    return parse_fail("crc mismatch (torn or corrupt summary)");
-  }
-  // The crc line is the one part outside the checksum, so pin its exact
-  // canonical rendering: "Fdebc0dc" parses to the same value as "fdebc0dc"
-  // and would otherwise let a case-flipped byte through.
-  char canonical[16];
-  std::snprintf(canonical, sizeof canonical, "crc %08lx\n",
-                static_cast<unsigned long>(stored_crc));
-  if (text.substr(crc_pos) != canonical) {
-    return parse_fail("malformed crc line");
-  }
-
-  LineReader reader{payload};
-  std::string_view line;
-  std::string_view value;
-  auto need = [&](std::string_view key) -> bool {
-    return reader.next(line) && key_value(line, key, value);
+Result<CellSummary> parse_cell_summary(std::string_view bytes) {
+  Result<codec::Reader> opened = codec::open_sealed(
+      bytes, {kCellSummaryMagic, kCellSummaryVersion, "PSMC cell summary",
+              kMinPayload + 4});
+  if (!opened.is_ok()) return parse_fail(opened.status().message());
+  codec::Reader& in = opened.value();
+  // A flag byte other than 0 or 1 is corruption, not "true".
+  const auto flag = [&in](const char* what, bool& out) {
+    const std::uint8_t v = in.u8(what);
+    out = v == 1;
+    return v <= 1;
   };
 
-  if (!reader.next(line) ||
-      line != "pathsel-matrix-cell v" + std::to_string(kCellSummaryVersion)) {
-    return parse_fail("bad or missing header");
-  }
   CellSummary s;
-  std::uint64_t u = 0;
-  double d = 0.0;
-  if (!need("grid_fp") || !parse_u64_field(value, s.grid_fp, 16)) {
-    return parse_fail("bad grid_fp");
+  s.grid_fp = in.u64("grid_fp");
+  s.cell_fp = in.u64("cell_fp");
+  s.index = in.u64("index");
+  s.dataset = in.str("dataset", kMaxText);
+  s.fault = in.f64("fault");
+  s.metric = in.str("metric", kMaxText);
+  s.policy = in.str("policy", kMaxText);
+  s.min_samples = in.i32("min_samples");
+  s.seed = in.u64("seed");
+  if (!flag("ok flag", s.ok)) return parse_fail("bad ok flag");
+  if (!s.ok) {
+    s.error = in.str("error", kMaxText);
+  } else {
+    s.hosts = in.u64("hosts");
+    s.measurements = in.u64("measurements");
+    s.completed = in.u64("completed");
+    s.usable_edges = in.u64("usable_edges");
+    s.pairs = in.u64("pairs");
+    s.coverage = in.f64("coverage");
+    s.better = in.f64("better");
+    if (!flag("has_sig", s.has_sig)) return parse_fail("bad has_sig");
+    s.sig_better = in.f64("sig_better");
+    s.sig_indeterminate = in.f64("sig_indeterminate");
+    s.sig_worse = in.f64("sig_worse");
+    s.found_full = in.f64("found_full");
   }
-  if (!need("cell_fp") || !parse_u64_field(value, s.cell_fp, 16)) {
-    return parse_fail("bad cell_fp");
-  }
-  if (!need("index") || !parse_u64_field(value, u)) {
-    return parse_fail("bad index");
-  }
-  s.index = static_cast<std::size_t>(u);
-  if (!need("dataset")) return parse_fail("bad dataset");
-  s.dataset = std::string{value};
-  if (!need("fault") || !parse_double_field(value, s.fault)) {
-    return parse_fail("bad fault");
-  }
-  if (!need("metric")) return parse_fail("bad metric");
-  s.metric = std::string{value};
-  if (!need("policy")) return parse_fail("bad policy");
-  s.policy = std::string{value};
-  if (!need("min_samples") || !parse_u64_field(value, u) || u > 1'000'000) {
+  if (in.failed()) return parse_fail(in.error());
+  if (s.min_samples < 0 || s.min_samples > 1'000'000) {
     return parse_fail("bad min_samples");
   }
-  s.min_samples = static_cast<int>(u);
-  if (!need("seed") || !parse_u64_field(value, s.seed)) {
-    return parse_fail("bad seed");
+
+  const std::uint64_t artifacts = in.u64("artifact count");
+  // Each artifact takes at least its 8-byte path length, size and crc.
+  if (!in.fits(artifacts, 8 + 8 + 4)) return parse_fail("bad artifact count");
+  s.artifacts.resize(artifacts);
+  for (CellSummary::Artifact& a : s.artifacts) {
+    a.rel_path = in.str("artifact path", kMaxText);
+    a.size = in.u64("artifact size");
+    a.crc = in.u32("artifact crc");
   }
-  if (!need("ok") || (value != "0" && value != "1")) {
-    return parse_fail("bad ok flag");
-  }
-  s.ok = value == "1";
-  if (!s.ok) {
-    if (!need("error")) return parse_fail("degraded summary without error");
-    s.error = std::string{value};
-  } else {
-    auto u64_field = [&](std::string_view key, std::size_t& out) -> bool {
-      if (!need(key) || !parse_u64_field(value, u)) return false;
-      out = static_cast<std::size_t>(u);
-      return true;
-    };
-    auto dbl_field = [&](std::string_view key, double& out) -> bool {
-      return need(key) && parse_double_field(value, out);
-    };
-    if (!u64_field("hosts", s.hosts)) return parse_fail("bad hosts");
-    if (!u64_field("measurements", s.measurements)) {
-      return parse_fail("bad measurements");
-    }
-    if (!u64_field("completed", s.completed)) return parse_fail("bad completed");
-    if (!u64_field("usable_edges", s.usable_edges)) {
-      return parse_fail("bad usable_edges");
-    }
-    if (!u64_field("pairs", s.pairs)) return parse_fail("bad pairs");
-    if (!dbl_field("coverage", s.coverage)) return parse_fail("bad coverage");
-    if (!dbl_field("better", s.better)) return parse_fail("bad better");
-    if (!need("has_sig") || (value != "0" && value != "1")) {
-      return parse_fail("bad has_sig");
-    }
-    s.has_sig = value == "1";
-    if (!dbl_field("sig_better", s.sig_better)) {
-      return parse_fail("bad sig_better");
-    }
-    if (!dbl_field("sig_indeterminate", s.sig_indeterminate)) {
-      return parse_fail("bad sig_indeterminate");
-    }
-    if (!dbl_field("sig_worse", s.sig_worse)) return parse_fail("bad sig_worse");
-    if (!dbl_field("found_full", s.found_full)) {
-      return parse_fail("bad found_full");
-    }
-    (void)d;
-  }
-  while (reader.peek(line)) {
-    if (!key_value(line, "artifact", value)) break;
-    reader.next(line);
-    // `artifact <rel_path> <size> <crc>`: rel_path may not hold spaces (the
-    // engine only writes fixed names), so split from the right.
-    const std::string_view rest = value;
-    const std::size_t crc_sep = rest.rfind(' ');
-    if (crc_sep == std::string_view::npos) return parse_fail("bad artifact");
-    const std::size_t size_sep = rest.rfind(' ', crc_sep - 1);
-    if (size_sep == std::string_view::npos || size_sep == 0) {
-      return parse_fail("bad artifact");
-    }
-    CellSummary::Artifact a;
-    a.rel_path = std::string{rest.substr(0, size_sep)};
-    std::uint64_t crc_v = 0;
-    if (!parse_u64_field(rest.substr(size_sep + 1, crc_sep - size_sep - 1),
-                         a.size) ||
-        !parse_u64_field(rest.substr(crc_sep + 1), crc_v, 16) ||
-        crc_v > 0xFFFFFFFFULL) {
-      return parse_fail("bad artifact");
-    }
-    a.crc = static_cast<std::uint32_t>(crc_v);
-    s.artifacts.push_back(std::move(a));
-  }
-  if (!reader.exhausted()) return parse_fail("trailing garbage after fields");
+  if (in.failed()) return parse_fail(in.error());
+  if (in.remaining() != 0) return parse_fail("trailing bytes after fields");
   return s;
 }
 

@@ -5,11 +5,12 @@
 // per grid) plus one analysis (one-hop/multi-hop alternate sweep or
 // k-disjoint alternates) at the cell's min_samples floor.  The runner writes
 // two kinds of artifacts into the cell's directory — the columnar PSRC
-// results or the disjoint TSV — and then publishes a `pathsel-matrix-cell v1`
-// summary file into the work queue.  The summary is the queue's done marker:
-// it is written atomically, ends in a CRC of its own payload, and embeds the
-// grid and cell fingerprints, so a torn file, a foreign file, or a summary
-// left by an edited grid is detected and discarded instead of merged.
+// results or the disjoint TSV — and then publishes a sealed PSMC cell
+// summary (util/codec.h) into the work queue.  The summary is the queue's
+// done marker: it is written atomically, ends in a CRC-32 trailer over its
+// payload, and embeds the grid and cell fingerprints, so a torn file, a
+// foreign file, or a summary left by an edited grid is detected and
+// discarded instead of merged.
 //
 // Data-shaped analysis failures (insufficient data after heavy faults, a
 // disjoint k over the graph ceiling) degrade gracefully: the cell publishes
@@ -30,7 +31,9 @@
 
 namespace pathsel::matrix {
 
-inline constexpr std::uint32_t kCellSummaryVersion = 1;
+inline constexpr std::uint32_t kCellSummaryMagic = 0x434D5350;  // "PSMC"
+/// 2: the sealed binary image; 1 was a text format, now read as stale.
+inline constexpr std::uint32_t kCellSummaryVersion = 2;
 
 struct CellSummary {
   std::uint64_t grid_fp = 0;
@@ -68,13 +71,14 @@ struct CellSummary {
   std::vector<Artifact> artifacts;
 };
 
-/// Serializes to the self-validating text format (payload + trailing `crc`
-/// line); deterministic — equal summaries produce equal bytes.
+/// Serializes to the sealed PSMC image; deterministic — equal summaries
+/// produce equal bytes.  Reals are stored as their f64 bits, so a parsed
+/// summary renders exactly the values the cell computed.
 [[nodiscard]] std::string serialize_cell_summary(const CellSummary& summary);
 
-/// Parses and validates: CRC, version, and field set must all check out.
-/// kParseError on corruption or truncation.
-[[nodiscard]] Result<CellSummary> parse_cell_summary(std::string_view text);
+/// Parses and validates: size, magic, version, CRC and field set must all
+/// check out.  kParseError on corruption or truncation.
+[[nodiscard]] Result<CellSummary> parse_cell_summary(std::string_view bytes);
 
 /// How run_cell left the queue: the cell ran (summary published), or its
 /// shared dataset is being collected by another worker right now and the

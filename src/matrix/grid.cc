@@ -1,14 +1,12 @@
 #include "matrix/grid.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "meas/catalog.h"
 #include "meas/checkpoint.h"
 #include "util/atomic_io.h"
+#include "util/parse.h"
 
 namespace pathsel::matrix {
 
@@ -40,37 +38,9 @@ bool valid_name(std::string_view s) {
   return true;
 }
 
-bool parse_double(std::string_view s, double& out) {
-  const std::string z{s};
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(z.c_str(), &end);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  const std::string z{s};
-  if (z.empty() || z.front() == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(z.c_str(), &end, 10);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_i32(std::string_view s, long lo, long hi, int& out) {
-  const std::string z{s};
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(z.c_str(), &end, 10);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0' || v < lo || v > hi) {
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
+// An int in [lo, hi], through the one whole-token number rule.
+bool parse_int(std::string_view s, int lo, int hi, int& out) {
+  return parse_number(s, out) && out >= lo && out <= hi;
 }
 
 Result<PolicySpec> parse_policy(std::string_view s, std::size_t line) {
@@ -91,7 +61,7 @@ Result<PolicySpec> parse_policy(std::string_view s, std::size_t line) {
   }
   if (s.rfind("disjoint:", 0) == 0) {
     p.kind = PolicyKind::kDisjoint;
-    if (!parse_i32(s.substr(9), 1, 64, p.k)) {
+    if (!parse_int(s.substr(9), 1, 64, p.k)) {
       return bad(line, "disjoint policy needs k in [1, 64]: " + std::string{s});
     }
     return p;
@@ -119,12 +89,6 @@ Result<std::vector<std::string>> split_values(std::string_view s,
     start = comma + 1;
   }
   return out;
-}
-
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 const char* const kAxisNames[] = {"datasets", "faults",  "metrics",
@@ -224,7 +188,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
         if (saw_scale) return bad(line_no, "duplicate key: scale");
         saw_scale = true;
         double s = 0.0;
-        if (!parse_double(value, s) || !(s > 0.0) || !(s <= 1.0)) {
+        if (!parse_number(value, s) || !(s > 0.0) || !(s <= 1.0)) {
           return bad(line_no, "scale must be in (0, 1]: " + std::string{value});
         }
         grid.scale = s;
@@ -257,7 +221,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
       grid.faults.clear();
       for (const std::string& item : items.value()) {
         double f = 0.0;
-        if (!parse_double(item, f) || !(f >= 0.0) || !(f <= 1.0)) {
+        if (!parse_number(item, f) || !(f >= 0.0) || !(f <= 1.0)) {
           return bad(line_no, "fault intensity must be in [0, 1]: " + item);
         }
         grid.faults.push_back(f);
@@ -284,7 +248,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
       grid.samples.clear();
       for (const std::string& item : items.value()) {
         int n = 0;
-        if (!parse_i32(item, 0, 1'000'000, n)) {
+        if (!parse_int(item, 0, 1'000'000, n)) {
           return bad(line_no,
                      "min-samples must be in [0, 1000000] (0: scale-derived): " +
                          item);
@@ -295,7 +259,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
       grid.seeds.clear();
       for (const std::string& item : items.value()) {
         std::uint64_t s = 0;
-        if (!parse_u64(item, s)) {
+        if (!parse_number(item, s)) {
           return bad(line_no, "seed must be an unsigned integer: " + item);
         }
         grid.seeds.push_back(s);
@@ -437,6 +401,19 @@ std::string cell_label(const CellSpec& cell) {
          metric_label(cell.metric) + " " + cell.policy.label() +
          " ms=" + std::to_string(cell.min_samples) +
          " seed=" + std::to_string(cell.seed);
+}
+
+std::string fmt17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 }  // namespace pathsel::matrix

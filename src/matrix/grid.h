@@ -139,4 +139,11 @@ struct CellSpec {
 /// "UW3 fault=0.15 loss disjoint:2 ms=0 seed=1999".
 [[nodiscard]] std::string cell_label(const CellSpec& cell);
 
+/// `v` as "%.17g", the rendering every grid identity uses for reals.
+[[nodiscard]] std::string fmt17(double v);
+
+/// `v` as 16 lowercase hex digits, the rendering of fingerprints in paths
+/// and reports.
+[[nodiscard]] std::string hex16(std::uint64_t v);
+
 }  // namespace pathsel::matrix

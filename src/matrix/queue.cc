@@ -12,13 +12,6 @@ std::string cell_file_stem(std::size_t index) {
   return buf;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 }  // namespace
 
 std::string queue_dir(const std::string& work_dir) {

@@ -5,7 +5,7 @@
 // processes can cooperate on one work dir:
 //
 //   queue/cell-<index>.lock      claim marker, held via flock (FileLock)
-//   queue/cell-<index>.summary   done marker: the CRC'd cell summary
+//   queue/cell-<index>.summary   done marker: the sealed PSMC cell summary
 //
 // Claim protocol: a worker scans cells in index order; for each cell whose
 // summary is missing it tries a non-blocking flock on the lock file.

@@ -23,13 +23,6 @@ std::string shortest(double v) {
   return buf;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 struct Marginal {
   std::string value;
   std::size_t cells = 0;     // ok cells carrying this axis value

@@ -1,27 +1,28 @@
 #include "meas/checkpoint.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <sstream>
 
 #include "meas/serialize.h"
 #include "util/atomic_io.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace pathsel::meas {
 
 namespace {
 
-constexpr char kCheckpointHeader[] = "pathsel-checkpoint v1";
-constexpr char kManifestHeader[] = "pathsel-manifest v1";
-
-// Hard caps against adversarial counts in a corrupt file.
-constexpr std::size_t kMaxPending = 50'000'000;
-constexpr std::size_t kMaxMeasurements = 500'000'000;
-constexpr std::size_t kMaxServerRngs = 1'000'000;
+// PSCK layout after magic and version, LE:
+//   i64 now_ms (at byte 8) | u64 fingerprint | u8 kind (0 traceroute, 1 tcp)
+//   | u64 next_seq | i32 episodes | u64 injector_epoch | u64 rng[4]
+//   | str dataset | u64 n, n x u64[4] server rngs
+//   | u64 n, n x {u8 kind, i64 t_ms, u64 seq, i32 a, i32 b, i64 first_ms,
+//                 i32 episode, i32 tried} pending events
+//   | str measurements (v1 dataset rows, each ending in '\n') | u32 crc
+constexpr std::size_t kFixedBytes = 8 + 8 + 8 + 1 + 8 + 4 + 8 + 32 + 4 * 8;
+constexpr std::size_t kEventBytes = 1 + 8 + 8 + 4 + 4 + 8 + 4 + 4;
+constexpr std::size_t kMaxName = 4096;
 
 std::uint64_t mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -29,56 +30,8 @@ std::uint64_t mix(std::uint64_t& h, std::uint64_t v) {
   return h = splitmix64(s);
 }
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_i64(const std::string& text, std::int64_t& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 Status corrupt(const std::string& what) {
   return Status::error(ErrorCode::kParseError, "corrupt checkpoint: " + what);
-}
-
-/// Splits off and verifies the trailing "crc <n>" line; on success returns
-/// the payload (everything before that line).
-Result<std::string_view> strip_and_check_crc(std::string_view text) {
-  // The payload always ends with '\n', so the crc line is the last
-  // newline-terminated line.
-  if (text.empty() || text.back() != '\n') {
-    return corrupt("missing trailing newline (truncated)");
-  }
-  const std::size_t line_start =
-      text.find_last_of('\n', text.size() - 2);  // newline before the crc line
-  if (line_start == std::string_view::npos) return corrupt("no crc line");
-  const std::string_view payload = text.substr(0, line_start + 1);
-  std::string crc_line{text.substr(line_start + 1)};
-  crc_line.pop_back();  // trailing '\n'
-  std::istringstream ls{crc_line};
-  std::string key;
-  std::string value;
-  std::uint64_t recorded = 0;
-  if (!(ls >> key >> value) || key != "crc" || !parse_u64(value, recorded) ||
-      recorded > 0xFFFFFFFFULL || (ls >> key)) {
-    return corrupt("malformed crc line");
-  }
-  if (crc32(payload) != static_cast<std::uint32_t>(recorded)) {
-    return corrupt("payload does not match its crc (torn or tampered file)");
-  }
-  return payload;
 }
 
 std::string sanitize_filename(const std::string& dataset) {
@@ -89,65 +42,6 @@ std::string sanitize_filename(const std::string& dataset) {
     if (!ok) c = '_';
   }
   return out;
-}
-
-struct ManifestEntry {
-  std::string dataset;
-  std::string file;
-  std::uint32_t crc = 0;
-  std::uint64_t size = 0;
-};
-
-std::string serialize_manifest(const std::vector<ManifestEntry>& entries) {
-  std::ostringstream os;
-  os << kManifestHeader << '\n';
-  for (const ManifestEntry& e : entries) {
-    os << "entry " << e.dataset << ' ' << e.file << ' ' << e.crc << ' '
-       << e.size << '\n';
-  }
-  std::string payload = os.str();
-  payload += "crc " + std::to_string(crc32(payload)) + '\n';
-  return payload;
-}
-
-Result<std::vector<ManifestEntry>> parse_manifest(std::string_view text) {
-  const Result<std::string_view> payload = strip_and_check_crc(text);
-  if (!payload.is_ok()) return payload.status();
-  std::istringstream is{std::string{payload.value()}};
-  std::string line;
-  if (!std::getline(is, line) || line != kManifestHeader) {
-    return corrupt("missing manifest header");
-  }
-  std::vector<ManifestEntry> entries;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls{line};
-    std::string key;
-    ManifestEntry e;
-    std::string crc_text;
-    std::string size_text;
-    std::uint64_t crc = 0;
-    if (!(ls >> key >> e.dataset >> e.file >> crc_text >> size_text) ||
-        key != "entry" || !parse_u64(crc_text, crc) || crc > 0xFFFFFFFFULL ||
-        !parse_u64(size_text, e.size) || (ls >> key)) {
-      return corrupt("malformed manifest entry: " + line);
-    }
-    e.crc = static_cast<std::uint32_t>(crc);
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
-/// Reads the manifest, falling back to MANIFEST.prev when the current one is
-/// missing or corrupt.  An empty result means no readable manifest exists.
-std::vector<ManifestEntry> read_manifest_entries(const std::string& dir) {
-  for (const char* name : {"MANIFEST", "MANIFEST.prev"}) {
-    const Result<std::string> text = read_file(dir + "/" + name);
-    if (!text.is_ok()) continue;
-    Result<std::vector<ManifestEntry>> entries = parse_manifest(text.value());
-    if (entries.is_ok()) return std::move(entries.value());
-  }
-  return {};
 }
 
 }  // namespace
@@ -201,200 +95,125 @@ std::uint64_t checkpoint_fingerprint(std::string_view dataset,
 std::string serialize_checkpoint(const CampaignCheckpoint& cp,
                                  MeasurementKind kind,
                                  std::uint64_t fingerprint) {
-  std::ostringstream os;
-  os << kCheckpointHeader << '\n';
-  os << "dataset " << cp.dataset_name << '\n';
-  os << "kind "
-     << (kind == MeasurementKind::kTraceroute ? "traceroute" : "tcp") << '\n';
-  os << "fingerprint " << fingerprint << '\n';
-  os << "now_ms " << cp.now.since_start().total_millis() << '\n';
-  os << "next_seq " << cp.next_seq << '\n';
-  os << "episodes " << cp.episode_count << '\n';
-  os << "injector_epoch " << cp.injector_epoch << '\n';
-  os << "rng " << cp.rng_state[0] << ' ' << cp.rng_state[1] << ' '
-     << cp.rng_state[2] << ' ' << cp.rng_state[3] << '\n';
-  os << "server_rngs " << cp.server_rng_states.size() << '\n';
-  for (const auto& s : cp.server_rng_states) {
-    os << "r " << s[0] << ' ' << s[1] << ' ' << s[2] << ' ' << s[3] << '\n';
+  std::ostringstream rows;
+  for (const Measurement& m : cp.measurements) write_measurement(rows, m, kind);
+  const std::string block = std::move(rows).str();
+
+  codec::Writer out{kFixedBytes + cp.dataset_name.size() +
+                    cp.server_rng_states.size() * 32 +
+                    cp.pending.size() * kEventBytes + block.size() + 4};
+  out.u32(kCheckpointMagic);
+  out.u32(kCheckpointVersion);
+  out.i64(cp.now.since_start().total_millis());
+  out.u64(fingerprint);
+  out.u8(kind == MeasurementKind::kTraceroute ? 0 : 1);
+  out.u64(cp.next_seq);
+  out.i32(cp.episode_count);
+  out.u64(cp.injector_epoch);
+  for (const std::uint64_t word : cp.rng_state) out.u64(word);
+  out.str(cp.dataset_name);
+  out.u64(cp.server_rng_states.size());
+  for (const auto& state : cp.server_rng_states) {
+    for (const std::uint64_t word : state) out.u64(word);
   }
-  os << "pending " << cp.pending.size() << '\n';
+  out.u64(cp.pending.size());
   for (const CampaignEvent& ev : cp.pending) {
-    os << "e " << static_cast<int>(ev.kind) << ' '
-       << ev.t.since_start().total_millis() << ' ' << ev.seq << ' ' << ev.a
-       << ' ' << ev.b << ' ' << ev.first.since_start().total_millis() << ' '
-       << ev.episode << ' ' << ev.tried << '\n';
+    out.u8(static_cast<std::uint8_t>(ev.kind));
+    out.i64(ev.t.since_start().total_millis());
+    out.u64(ev.seq);
+    out.i32(ev.a);
+    out.i32(ev.b);
+    out.i64(ev.first.since_start().total_millis());
+    out.i32(ev.episode);
+    out.i32(ev.tried);
   }
-  os << "measurements " << cp.measurements.size() << '\n';
-  for (const Measurement& m : cp.measurements) {
-    write_measurement(os, m, kind);
-  }
-  std::string payload = os.str();
-  payload += "crc " + std::to_string(crc32(payload)) + '\n';
-  return payload;
+  out.str(block);
+  return std::move(out).seal();
 }
 
-Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
+Result<CampaignCheckpoint> parse_checkpoint(std::string_view bytes,
                                             MeasurementKind expected_kind,
                                             std::uint64_t expected_fingerprint) {
-  const Result<std::string_view> payload = strip_and_check_crc(text);
-  if (!payload.is_ok()) return payload.status();
-  std::istringstream is{std::string{payload.value()}};
-  std::string line;
-  if (!std::getline(is, line) || line != kCheckpointHeader) {
-    return corrupt("missing or unsupported header");
-  }
-
-  auto expect_field = [&](const char* key, std::string& value) -> bool {
-    if (!std::getline(is, line)) return false;
-    std::istringstream ls{line};
-    std::string k;
-    ls >> k;
-    if (k != key) return false;
-    std::getline(ls, value);
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-    return true;
-  };
+  Result<codec::Reader> opened = codec::open_sealed(
+      bytes, {kCheckpointMagic, kCheckpointVersion, "PSCK checkpoint",
+              kFixedBytes + 4});
+  if (!opened.is_ok()) return corrupt(opened.status().message());
+  codec::Reader& in = opened.value();
 
   CampaignCheckpoint cp;
-  std::string value;
-  std::uint64_t u = 0;
-  std::int64_t i = 0;
-  if (!expect_field("dataset", value)) return corrupt("missing dataset");
-  cp.dataset_name = value;
-  if (!expect_field("kind", value)) return corrupt("missing kind");
-  MeasurementKind kind;
-  if (value == "traceroute") {
-    kind = MeasurementKind::kTraceroute;
-  } else if (value == "tcp") {
-    kind = MeasurementKind::kTcpTransfer;
-  } else {
-    return corrupt("unknown kind: " + value);
-  }
-  if (kind != expected_kind) {
+  const std::int64_t now_ms = in.i64("now_ms");
+  const std::uint64_t fingerprint = in.u64("fingerprint");
+  const std::uint8_t kind = in.u8("kind");
+  cp.next_seq = in.u64("next_seq");
+  cp.episode_count = in.i32("episodes");
+  cp.injector_epoch = in.u64("injector_epoch");
+  for (std::uint64_t& word : cp.rng_state) word = in.u64("rng state");
+  if (in.failed()) return corrupt(in.error());
+  if (kind > 1) return corrupt("unknown kind: " + std::to_string(kind));
+  if ((kind == 0) != (expected_kind == MeasurementKind::kTraceroute)) {
     return Status::error(ErrorCode::kInvalidArgument,
                          "checkpoint kind does not match this campaign");
   }
-  if (!expect_field("fingerprint", value) || !parse_u64(value, u)) {
-    return corrupt("missing fingerprint");
-  }
-  if (u != expected_fingerprint) {
+  if (fingerprint != expected_fingerprint) {
     return Status::error(
         ErrorCode::kInvalidArgument,
         "checkpoint fingerprint does not match this campaign (different "
         "config, seed, faults, or host list)");
   }
-  if (!expect_field("now_ms", value) || !parse_i64(value, i) || i < 0) {
-    return corrupt("invalid now_ms");
-  }
-  cp.now = SimTime::at(Duration::millis(i));
-  if (!expect_field("next_seq", value) || !parse_u64(value, cp.next_seq)) {
-    return corrupt("invalid next_seq");
-  }
-  if (!expect_field("episodes", value) || !parse_i64(value, i) || i < 0 ||
-      i > std::numeric_limits<std::int32_t>::max()) {
-    return corrupt("invalid episodes");
-  }
-  cp.episode_count = static_cast<std::int32_t>(i);
-  if (!expect_field("injector_epoch", value) ||
-      !parse_u64(value, cp.injector_epoch)) {
-    return corrupt("invalid injector_epoch");
+  if (now_ms < 0) return corrupt("invalid now_ms");
+  if (cp.episode_count < 0) return corrupt("invalid episodes");
+  cp.now = SimTime::at(Duration::millis(now_ms));
+  cp.dataset_name = in.str("dataset name", kMaxName);
+
+  const std::uint64_t servers = in.u64("server rng count");
+  if (!in.fits(servers, 32)) return corrupt("invalid server_rngs count");
+  cp.server_rng_states.resize(servers);
+  for (auto& state : cp.server_rng_states) {
+    for (std::uint64_t& word : state) word = in.u64("server rng state");
   }
 
-  if (!std::getline(is, line)) return corrupt("missing rng line");
-  {
-    std::istringstream ls{line};
-    std::string key;
-    std::string words[4];
-    if (!(ls >> key >> words[0] >> words[1] >> words[2] >> words[3]) ||
-        key != "rng" || (ls >> key)) {
-      return corrupt("malformed rng line");
+  const std::uint64_t pending = in.u64("pending count");
+  if (!in.fits(pending, kEventBytes)) return corrupt("invalid pending count");
+  cp.pending.resize(pending);
+  for (CampaignEvent& ev : cp.pending) {
+    const std::uint8_t ev_kind = in.u8("event kind");
+    const std::int64_t t_ms = in.i64("event time");
+    ev.seq = in.u64("event seq");
+    ev.a = in.i32("event a");
+    ev.b = in.i32("event b");
+    const std::int64_t first_ms = in.i64("event first time");
+    ev.episode = in.i32("event episode");
+    ev.tried = in.i32("event tried");
+    if (in.failed()) return corrupt(in.error());
+    if (ev_kind >= kCampaignEventKindCount || t_ms < 0 || first_ms < 0 ||
+        ev.episode < -1 || ev.tried < 0 || ev.tried > 255) {
+      return corrupt("pending event out of range");
     }
-    for (std::size_t k = 0; k < 4; ++k) {
-      if (!parse_u64(words[k], cp.rng_state[k])) {
-        return corrupt("malformed rng state");
-      }
-    }
-  }
-
-  if (!expect_field("server_rngs", value) || !parse_u64(value, u) ||
-      u > kMaxServerRngs) {
-    return corrupt("invalid server_rngs count");
-  }
-  cp.server_rng_states.reserve(u);
-  for (std::uint64_t n = 0; n < u; ++n) {
-    if (!std::getline(is, line)) return corrupt("truncated server rng list");
-    std::istringstream ls{line};
-    std::string key;
-    std::string words[4];
-    if (!(ls >> key >> words[0] >> words[1] >> words[2] >> words[3]) ||
-        key != "r" || (ls >> key)) {
-      return corrupt("malformed server rng line");
-    }
-    std::array<std::uint64_t, 4> state{};
-    for (std::size_t k = 0; k < 4; ++k) {
-      if (!parse_u64(words[k], state[k])) {
-        return corrupt("malformed server rng state");
-      }
-    }
-    cp.server_rng_states.push_back(state);
-  }
-
-  if (!expect_field("pending", value) || !parse_u64(value, u) ||
-      u > kMaxPending) {
-    return corrupt("invalid pending count");
-  }
-  cp.pending.reserve(u);
-  for (std::uint64_t n = 0; n < u; ++n) {
-    if (!std::getline(is, line)) return corrupt("truncated pending list");
-    std::istringstream ls{line};
-    std::string key;
-    std::int64_t kind_v = 0;
-    std::int64_t t_ms = 0;
-    std::int64_t first_ms = 0;
-    CampaignEvent ev;
-    std::int64_t a = 0;
-    std::int64_t b = 0;
-    std::int64_t episode = 0;
-    std::int64_t tried = 0;
-    if (!(ls >> key >> kind_v >> t_ms >> ev.seq >> a >> b >> first_ms >>
-          episode >> tried) ||
-        key != "e" || (ls >> key)) {
-      return corrupt("malformed pending event: " + line);
-    }
-    if (kind_v < 0 || kind_v >= kCampaignEventKindCount || t_ms < 0 ||
-        first_ms < 0 || episode < -1 || tried < 0 || tried > 255 ||
-        a < std::numeric_limits<std::int32_t>::min() ||
-        a > std::numeric_limits<std::int32_t>::max() ||
-        b < std::numeric_limits<std::int32_t>::min() ||
-        b > std::numeric_limits<std::int32_t>::max() ||
-        episode > std::numeric_limits<std::int32_t>::max()) {
-      return corrupt("pending event out of range: " + line);
-    }
-    ev.kind = static_cast<CampaignEventKind>(kind_v);
+    ev.kind = static_cast<CampaignEventKind>(ev_kind);
     ev.t = SimTime::at(Duration::millis(t_ms));
     ev.first = SimTime::at(Duration::millis(first_ms));
-    ev.a = static_cast<std::int32_t>(a);
-    ev.b = static_cast<std::int32_t>(b);
-    ev.episode = static_cast<std::int32_t>(episode);
-    ev.tried = static_cast<std::int32_t>(tried);
-    cp.pending.push_back(ev);
   }
 
-  if (!expect_field("measurements", value) || !parse_u64(value, u) ||
-      u > kMaxMeasurements) {
-    return corrupt("invalid measurements count");
+  // The measurements are v1 dataset rows, one per line: the one encoding a
+  // resumed campaign re-serializes byte-identically.
+  std::string_view block = in.str("measurements", in.remaining());
+  if (in.failed()) return corrupt(in.error());
+  if (in.remaining() != 0) return corrupt("trailing data after payload");
+  if (!block.empty() && block.back() != '\n') {
+    return corrupt("measurement rows do not end in a newline");
   }
-  cp.measurements.reserve(u);
-  for (std::uint64_t n = 0; n < u; ++n) {
-    if (!std::getline(is, line)) return corrupt("truncated measurement list");
+  cp.measurements.reserve(
+      static_cast<std::size_t>(std::count(block.begin(), block.end(), '\n')));
+  while (!block.empty()) {
+    const std::size_t eol = block.find('\n');
     Measurement m;
     std::string error;
-    if (!parse_measurement(line, kind, m, &error)) {
+    if (!parse_measurement(block.substr(0, eol), expected_kind, m, &error)) {
       return corrupt(error);
     }
     cp.measurements.push_back(std::move(m));
+    block.remove_prefix(eol + 1);
   }
-  if (std::getline(is, line)) return corrupt("trailing data after payload");
   return cp;
 }
 
@@ -434,10 +253,6 @@ std::string CheckpointStore::generation_path(const std::string& dataset,
          std::to_string(generation);
 }
 
-std::string CheckpointStore::manifest_path() const {
-  return dir_ + "/MANIFEST";
-}
-
 Status CheckpointStore::save(const CampaignCheckpoint& cp,
                              MeasurementKind kind, std::uint64_t fingerprint) {
   const Status made = ensure_directory(dir_);
@@ -470,44 +285,12 @@ Status CheckpointStore::save(const CampaignCheckpoint& cp,
     next = &next_generation_.back().second;
   }
 
-  const std::string path = generation_path(cp.dataset_name, *next);
-  const std::string contents = serialize_checkpoint(cp, kind, fingerprint);
-  const Status wrote = write_file_atomic(path, contents);
+  const Status wrote =
+      write_file_atomic(generation_path(cp.dataset_name, *next),
+                        serialize_checkpoint(cp, kind, fingerprint));
   if (!wrote.is_ok()) return wrote;
   *next = 1 - *next;
-
-  // Manifest: preserve the previous one, then record the new entry.  The
-  // manifest is advisory (discovery + cross-file integrity); the checkpoint
-  // files are self-validating, so a crash between the file write and the
-  // manifest write costs nothing on resume.
-  const Result<std::string> old_manifest = read_file(manifest_path());
-  if (old_manifest.is_ok()) {
-    const Status kept =
-        write_file_atomic(dir_ + "/MANIFEST.prev", old_manifest.value());
-    if (!kept.is_ok()) return kept;
-  }
-  std::vector<ManifestEntry> entries = read_manifest_entries(dir_);
-  const std::string file =
-      sanitize_filename(cp.dataset_name) + ".ckpt." +
-      std::to_string(1 - *next);  // the generation just written
-  ManifestEntry entry;
-  entry.dataset = cp.dataset_name;
-  entry.file = file;
-  entry.crc = crc32(contents);
-  entry.size = contents.size();
-  bool replaced = false;
-  for (ManifestEntry& e : entries) {
-    if (e.dataset == entry.dataset) {
-      e = entry;
-      replaced = true;
-    }
-  }
-  if (!replaced) entries.push_back(entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const ManifestEntry& a, const ManifestEntry& b) {
-              return a.dataset < b.dataset;
-            });
-  return write_file_atomic(manifest_path(), serialize_manifest(entries));
+  return Status::ok();
 }
 
 }  // namespace pathsel::meas

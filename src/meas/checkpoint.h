@@ -7,13 +7,13 @@
 //
 //  1. Every write is atomic (util/atomic_io: tmp + fsync + rename), so a
 //     crash leaves the previous complete file, never a prefix.
-//  2. Every checkpoint file ends with a CRC-32 of its own payload, and each
-//     dataset alternates between two generation files (<name>.ckpt.0/.1):
-//     if the newest generation is torn or corrupt, the previous one is still
-//     a complete, older checkpoint — resume loses one interval, not the run.
-//  3. A manifest (MANIFEST, with MANIFEST.prev as fallback) lists every
-//     entry with its CRC and size under a manifest-wide CRC, catching
-//     cross-file tampering and serving discovery.
+//  2. Every checkpoint file is a sealed PSCK image (util/codec.h): magic,
+//     version and a CRC-32 trailer over its payload, so a torn, truncated
+//     or tampered file is rejected before any field is trusted.
+//  3. Each dataset alternates between two generation files
+//     (<name>.ckpt.0/.1): if the newest generation is torn or corrupt, the
+//     previous one is still a complete, older checkpoint — resume loses one
+//     interval, not the run.  Loading scans both generations directly.
 //
 // A checkpoint is bound to its campaign by a fingerprint over the collector
 // configuration and host list; resuming against a different configuration is
@@ -29,6 +29,10 @@
 #include "meas/collector.h"
 
 namespace pathsel::meas {
+
+inline constexpr std::uint32_t kCheckpointMagic = 0x4B435350;  // "PSCK"
+/// 2: the sealed binary image; 1 was a text format, now read as stale.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Identity of a campaign for checkpoint binding: dataset name, collector
 /// configuration (seed, discipline, kind, durations, retry, availability,
@@ -47,17 +51,18 @@ namespace pathsel::meas {
 [[nodiscard]] std::uint64_t fold_fingerprint(std::uint64_t base,
                                              std::uint64_t value);
 
-/// Serializes a checkpoint to the self-validating text format (payload +
-/// trailing "crc" line).
+/// Serializes a checkpoint to the sealed PSCK image.  Fixed-width fields
+/// come first, so the simulated time (i64 milliseconds) sits at byte 8; the
+/// measurements ride along as v1 dataset rows (write_measurement).
 [[nodiscard]] std::string serialize_checkpoint(const CampaignCheckpoint& cp,
                                                MeasurementKind kind,
                                                std::uint64_t fingerprint);
 
-/// Parses and validates a checkpoint: CRC, format version, kind, and
+/// Parses and validates a checkpoint: size, magic, version, CRC, kind, and
 /// fingerprint must all match.  kParseError on corruption or truncation,
 /// kInvalidArgument on a fingerprint/kind mismatch.
 [[nodiscard]] Result<CampaignCheckpoint> parse_checkpoint(
-    std::string_view text, MeasurementKind expected_kind,
+    std::string_view bytes, MeasurementKind expected_kind,
     std::uint64_t expected_fingerprint);
 
 /// Outcome of scanning a checkpoint directory for one dataset.
@@ -78,23 +83,21 @@ struct CheckpointLoad {
     std::uint64_t fingerprint);
 
 /// Manages the checkpoint directory for one campaign: alternating
-/// generations per dataset plus the CRC'd manifest.
+/// generations per dataset.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string dir) : dir_{std::move(dir)} {}
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
-  /// Writes `cp` to the dataset's next generation file and updates the
-  /// manifest (previous manifest preserved as MANIFEST.prev).  Creates the
-  /// directory on first use.
+  /// Writes `cp` to the dataset's next generation file, one atomic write.
+  /// Creates the directory on first use.
   [[nodiscard]] Status save(const CampaignCheckpoint& cp, MeasurementKind kind,
                             std::uint64_t fingerprint);
 
-  /// Paths for tests and diagnostics.
+  /// Path of a generation file, for tests and diagnostics.
   [[nodiscard]] std::string generation_path(const std::string& dataset,
                                             int generation) const;
-  [[nodiscard]] std::string manifest_path() const;
 
  private:
   std::string dir_;

@@ -432,7 +432,8 @@ void write_measurement(std::ostream& os, const Measurement& m,
                        MeasurementKind kind) {
   // Reused across rows, so formatting a row allocates nothing.
   thread_local std::string text;
-  text.assign("m");
+  text.clear();
+  text += 'm';
   RowFormatter row{text};
   row.integer(m.when.since_start().total_millis())
       .integer(m.src.value())

@@ -6,13 +6,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "util/atomic_io.h"
 #include "util/codec.h"
+#include "util/parse.h"
 
 namespace pathsel::serve {
 
@@ -76,15 +75,10 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
 
   auto parse_host = [&](const std::string& tok, const char* which,
                         std::int32_t& out) -> Status {
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (errno == ERANGE || end == tok.c_str() || *end != '\0' || v < 0 ||
-        v > std::numeric_limits<std::int32_t>::max()) {
+    if (!parse_number(tok, out) || out < 0) {
       return bad(std::string{which} + " host id '" + tok +
                  "' is not a non-negative integer");
     }
-    out = static_cast<std::int32_t>(v);
     return Status::ok();
   };
   std::int32_t a = 0;
@@ -93,11 +87,8 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
   if (Status s = parse_host(tokens[2], "second", b); !s.is_ok()) return s;
   if (a == b) return bad("a path needs two distinct hosts");
 
-  errno = 0;
-  char* end = nullptr;
-  const double rtt = std::strtod(tokens[3].c_str(), &end);
-  if (errno == ERANGE || end == tokens[3].c_str() || *end != '\0' ||
-      !std::isfinite(rtt) || rtt < 0.0) {
+  double rtt = 0.0;
+  if (!parse_number(tokens[3], rtt) || !std::isfinite(rtt) || rtt < 0.0) {
     return bad("rtt '" + tokens[3] + "' is not a finite non-negative number");
   }
   if (tokens[4] != "0" && tokens[4] != "1") {

@@ -2,14 +2,16 @@
 //
 // A checkpoint that can be torn by the crash it exists to survive is worse
 // than none: a half-written file that parses as valid silently corrupts the
-// resumed campaign.  Two defenses, used together by meas/checkpoint:
+// resumed campaign.  Two defenses, used together by the campaign checkpoint
+// (meas/checkpoint) and the matrix cell summary (matrix/cell):
 //
 //  1. write_file_atomic: write to `<path>.tmp`, fsync the file, rename over
 //     the destination, fsync the directory.  A crash at any instant leaves
 //     either the old complete file or the new complete file — never a mix.
-//  2. crc32: a checksum of the payload recorded in the manifest, so a file
-//     torn by other means (disk-full truncation, manual tampering, a torn
-//     tmp file left behind) is detected and discarded instead of parsed.
+//  2. crc32: a checksum of the payload, sealed after it as the trailer of
+//     every util/codec.h image, so a file torn by other means (disk-full
+//     truncation, manual tampering, a torn tmp file left behind) is detected
+//     and discarded instead of parsed.
 //
 // The CRC is the standard reflected CRC-32 (IEEE 802.3, polynomial
 // 0xEDB88320), computed in software so it is identical on every platform.

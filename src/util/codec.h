@@ -1,17 +1,20 @@
-// The one binary codec behind every binary file pathsel writes: PSRC
+// The one binary codec behind every sealed file pathsel writes: PSRC
 // results (core/result_columns.h), the PSJL update journal and the PSSV
-// serve-state snapshot (serve/journal.h).  Those headers own their byte
-// layouts; this one owns the encoding they share:
+// serve-state snapshot (serve/journal.h), the PSCK campaign checkpoint
+// (meas/checkpoint.h) and the PSMC matrix cell summary (matrix/cell.h).
+// Those headers own their byte layouts; this one owns the encoding they
+// share:
 //
-//   * Writer — little-endian u8/u32/u64/i32/i64/f64 fields and whole
-//     columns, appended to one std::string the caller sizes up front.
+//   * Writer — little-endian u8/u32/u64/i32/i64/f64 fields, u64-length-
+//     prefixed strings and whole columns, appended to one std::string the
+//     caller sizes up front.
 //   * Reader — the bounds-checked mirror.  A short read yields 0, records
 //     the first error ("truncated file: expected <field>") and turns every
 //     later read into a no-op, so a parser checks failed() once per group
 //     of fields; fits() guards a declared count before anything allocates.
 //   * Writer::seal, verify, open_sealed — the CRC-32 trailer (util/atomic_io
 //     crc32, stored LE after every byte it covers) and the size + magic +
-//     version + trailer gate all three formats open with.
+//     version + trailer gate every format opens with.
 #pragma once
 
 #include <bit>
@@ -58,6 +61,12 @@ class Writer {
 
   /// Appends raw bytes verbatim (an already-encoded payload).
   void bytes(std::string_view raw) { out_ += raw; }
+
+  /// Appends `text` as a u64 byte count followed by the bytes.
+  void str(std::string_view text) {
+    u64(text.size());
+    bytes(text);
+  }
 
   /// The encoded image.
   [[nodiscard]] std::string take() && { return std::move(out_); }
@@ -117,6 +126,19 @@ class Reader {
     return out;
   }
 
+  /// A string written by Writer::str (empty on a shortfall).  A declared
+  /// length over `max_len` fails too, naming the field.
+  [[nodiscard]] std::string_view str(const char* what, std::size_t max_len) {
+    const std::uint64_t n = u64(what);
+    if (!failed_ && n > max_len) {
+      failed_ = true;
+      error_ = std::string{what} + " is longer than " +
+               std::to_string(max_len) + " bytes";
+      return {};
+    }
+    return bytes(static_cast<std::size_t>(n), what);
+  }
+
   /// Replaces `out` with the next `n` elements.  On a shortfall `out` is
   /// left empty and nothing is allocated.
   template <typename T>
@@ -130,7 +152,9 @@ class Reader {
     const std::string_view raw = bytes(n * sizeof(T), what);
     if (raw.empty()) return;
     out.resize(n);
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // out.size() * sizeof(T), not raw.size(): the same count, but one the
+    // compiler can bound by the vector's max_size when it inlines this.
+    std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
   }
 
  private:

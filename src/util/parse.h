@@ -1,5 +1,6 @@
 // Whole-token number parsing: the one rule for numbers read from text, used
-// by the dataset reader (meas/serialize) and the command-line flags.
+// by the dataset reader (meas/serialize), the command-line flags, the
+// scenario grid (matrix/grid) and the serve trace and update lines.
 #pragma once
 
 #include <charconv>

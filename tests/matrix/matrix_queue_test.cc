@@ -1,7 +1,7 @@
-// Work-queue building blocks: the flock claim primitive and the CRC'd cell
-// summary format.  The summary parser carries the same fuzz contract as the
-// other on-disk readers — every single-bit corruption and every truncation
-// of a real summary is rejected as a clean kParseError — and
+// Work-queue building blocks: the flock claim primitive and the sealed PSMC
+// cell summary format.  The summary parser carries the same fuzz contract as
+// the other on-disk readers — every single-bit corruption and every
+// truncation of a real summary is rejected as a clean kParseError — and
 // load_valid_summary distinguishes missing (kIoError), corrupt
 // (kParseError), and stale-from-an-edited-grid (kInvalidArgument) states,
 // which is the predicate the whole crash-reclaim protocol rests on.
@@ -159,11 +159,40 @@ TEST(MatrixCellSummary, EveryTruncationIsRejected) {
 
 TEST(MatrixCellSummary, TrailingGarbageIsRejected) {
   std::string padded = serialize_cell_summary(sample_summary());
-  // Valid summary followed by junk: the trailing-crc scan must not be
-  // fooled by the embedded (now non-final) crc line.
+  // Valid summary followed by junk: the trailer is the last four bytes, so
+  // the embedded (now non-final) one must not pass for it.
   padded += "extra line\n";
   const Result<CellSummary> parsed = parse_cell_summary(padded);
   EXPECT_FALSE(parsed.is_ok());
+}
+
+// A summary written by the v1 text format, byte for byte: CRC-valid in its
+// own terms, but not a PSMC image, so it reads as corrupt and the engine
+// re-runs the cell instead of merging it.
+TEST(MatrixCellSummary, TextV1SummaryIsRejected) {
+  const std::string text =
+      "pathsel-matrix-cell v1\ngrid_fp 1122334455667788\n"
+      "cell_fp 99aabbccddeeff00\nindex 3\ndataset UW3\n"
+      "fault 0.14999999999999999\nmetric rtt\npolicy one-hop\n"
+      "min_samples 3\nseed 1999\nok 1\nhosts 20\nmeasurements 1200\n"
+      "completed 1100\nusable_edges 150\npairs 380\n"
+      "coverage 0.70999999999999996\nbetter 0.46000000000000002\n"
+      "has_sig 1\nsig_better 0.25\nsig_indeterminate 0.5\nsig_worse 0.25\n"
+      "found_full 0\nartifact "
+      "cells/cell-00003-99aabbccddeeff00/results.psrc 4242 deadbeef\n"
+      "crc 69604e3b\n";
+  const Result<CellSummary> parsed = parse_cell_summary(text);
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
+
+  const std::string work = fresh_dir("textv1");
+  ASSERT_TRUE(ensure_directory(queue_dir(work)).is_ok());
+  ASSERT_TRUE(write_file_atomic(cell_summary_path(work, 3), text).is_ok());
+  EXPECT_EQ(load_valid_summary(work, 3, 0x1122334455667788ULL,
+                               0x99aabbccddeeff00ULL)
+                .status()
+                .code(),
+            ErrorCode::kParseError);
 }
 
 TEST(MatrixQueueValidation, MissingCorruptAndStaleAreDistinguished) {

@@ -1,13 +1,14 @@
-// Crash-safety tests for the checkpoint format and store: self-CRC'd files,
-// torn/truncated/corrupt candidates discarded, alternating generations with
-// fallback, and an advisory manifest that survives its own corruption.  The
-// torn-checkpoint and truncated-manifest sweeps extend the adversarial-input
-// fuzz corpus (serialize_fuzz_test covers the dataset files themselves).
+// Crash-safety tests for the checkpoint format and store: sealed PSCK
+// images, torn/truncated/corrupt and stale-format candidates discarded, and
+// alternating generations with fallback.  The torn-checkpoint and bit-flip
+// sweeps extend the adversarial-input fuzz corpus (serialize_fuzz_test
+// covers the dataset files themselves).
 #include "meas/checkpoint.h"
 
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,15 +140,22 @@ TEST(Checkpoint, EveryTornPrefixIsRejected) {
   }
 }
 
-TEST(Checkpoint, FlippedByteIsRejected) {
-  const CampaignCheckpoint cp = make_checkpoint(120000, 40);
-  std::string text =
-      serialize_checkpoint(cp, MeasurementKind::kTraceroute, kFingerprint);
-  text[text.size() / 2] ^= 0x20;
-  const Result<CampaignCheckpoint> parsed =
-      parse_checkpoint(text, MeasurementKind::kTraceroute, kFingerprint);
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
+// The CRC trailer is checked before any field is trusted, so no single-bit
+// flip anywhere in the image, counts and trailer included, parses.
+TEST(Checkpoint, EveryBitFlipIsRejected) {
+  const std::string good = serialize_checkpoint(
+      make_checkpoint(120000, 40), MeasurementKind::kTraceroute, kFingerprint);
+  for (std::size_t byte = 0; byte < good.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = good;
+      corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+      const Result<CampaignCheckpoint> parsed = parse_checkpoint(
+          corrupt, MeasurementKind::kTraceroute, kFingerprint);
+      ASSERT_FALSE(parsed.is_ok())
+          << "flip bit " << bit << " of byte " << byte << " was accepted";
+      EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
+    }
+  }
 }
 
 TEST(Checkpoint, KindAndFingerprintMismatchesAreInvalidArgument) {
@@ -260,54 +268,45 @@ TEST(Checkpoint, StaleFingerprintGenerationIsDiscarded) {
   EXPECT_NE(load.discarded[0].find("fingerprint"), std::string::npos);
 }
 
-// Manifest self-check helper: payload + trailing "crc <n>" line.
-bool manifest_is_valid(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) return false;
-  const std::string text{std::istreambuf_iterator<char>{is},
-                         std::istreambuf_iterator<char>{}};
-  if (text.empty() || text.back() != '\n') return false;
-  const std::size_t line_start = text.find_last_of('\n', text.size() - 2);
-  if (line_start == std::string::npos) return false;
-  const std::string payload = text.substr(0, line_start + 1);
-  const std::string crc_line = text.substr(line_start + 1);
-  return crc_line == "crc " + std::to_string(crc32(payload)) + "\n";
+// A checkpoint written by the v1 text format, byte for byte: well formed,
+// CRC-valid and bound to this campaign, yet stale — it is discarded and the
+// campaign restarts rather than guessing at the old layout.
+TEST(Checkpoint, TextV1CheckpointIsDiscardedAsStale) {
+  const std::string text =
+      "pathsel-checkpoint v1\ndataset UW3\nkind traceroute\n"
+      "fingerprint 12379813738877118345\nnow_ms 60000\nnext_seq 10\n"
+      "episodes 3\ninjector_epoch 17\nrng 1 2 3 4\nserver_rngs 0\n"
+      "pending 0\nmeasurements 1\nm 1000 0 1 -1 1 0 10.5 1 0 0 30.25 0\n"
+      "crc 3111134256\n";
+  const Result<CampaignCheckpoint> parsed =
+      parse_checkpoint(text, MeasurementKind::kTraceroute, kFingerprint);
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
+
+  const std::string dir = fresh_dir("textv1");
+  std::filesystem::create_directories(dir);
+  write_raw(CheckpointStore{dir}.generation_path("UW3", 0), text);
+  const CheckpointLoad load = load_newest_checkpoint(
+      dir, "UW3", MeasurementKind::kTraceroute, kFingerprint);
+  EXPECT_FALSE(load.checkpoint.has_value());
+  ASSERT_EQ(load.discarded.size(), 1u);
+  EXPECT_NE(load.discarded[0].find("bad magic"), std::string::npos)
+      << load.discarded[0];
 }
 
-// Fuzz corpus, truncated-manifest case: a torn or garbage MANIFEST never
-// blocks resume (the checkpoint files are self-validating) and the next
-// save writes a fresh valid manifest over it.
-TEST(Checkpoint, TruncatedManifestNeitherBlocksResumeNorPersists) {
-  const std::string dir = fresh_dir("manifest");
+// A save is one atomic write: the generation file and nothing beside it.
+TEST(Checkpoint, SaveWritesOnlyTheGenerationFile) {
+  const std::string dir = fresh_dir("onefile");
   CheckpointStore store{dir};
   ASSERT_TRUE(store
                   .save(make_checkpoint(60000, 10),
                         MeasurementKind::kTraceroute, kFingerprint)
                   .is_ok());
-  ASSERT_TRUE(manifest_is_valid(store.manifest_path()));
-  const std::string manifest = [&] {
-    std::ifstream is{store.manifest_path(), std::ios::binary};
-    return std::string{std::istreambuf_iterator<char>{is},
-                       std::istreambuf_iterator<char>{}};
-  }();
-
-  for (const std::string& torn :
-       {std::string{}, manifest.substr(0, manifest.size() / 2),
-        std::string{"\x01\x02garbage"}}) {
-    write_raw(store.manifest_path(), torn);
-    // Resume still finds the self-validating checkpoint file.
-    const CheckpointLoad load = load_newest_checkpoint(
-        dir, "UW3", MeasurementKind::kTraceroute, kFingerprint);
-    ASSERT_TRUE(load.checkpoint.has_value());
-    EXPECT_EQ(load.checkpoint->next_seq, 10u);
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    names.push_back(entry.path().filename().string());
   }
-
-  // The next save repairs the manifest.
-  ASSERT_TRUE(store
-                  .save(make_checkpoint(120000, 20),
-                        MeasurementKind::kTraceroute, kFingerprint)
-                  .is_ok());
-  EXPECT_TRUE(manifest_is_valid(store.manifest_path()));
+  EXPECT_EQ(names, std::vector<std::string>{"UW3.ckpt.0"});
 }
 
 }  // namespace

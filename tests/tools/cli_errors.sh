@@ -35,9 +35,9 @@ expect 0 "--version" -- --version
 expect 0 "version subcommand" -- version
 expect 2 "version with extra arguments" -- version extra
 "$CLI" --version > "$TMP/version.out" 2>/dev/null
-for needle in "pathsel_cli" "pathsel-dataset v1" "pathsel-checkpoint v1" \
+for needle in "pathsel_cli" "pathsel-dataset v1" "PSCK v2" \
               "PSRC v1" "PSJL v1" "PSSV v1" "pathsel-grid v1" \
-              "pathsel-matrix-cell v1" "schema_version 1"; do
+              "PSMC v2" "schema_version 1"; do
   if ! grep -q "$needle" "$TMP/version.out"; then
     echo "FAIL: --version output missing '$needle'" >&2
     failures=$((failures + 1))
@@ -363,10 +363,15 @@ if [[ -e "$TMP/mx" ]]; then
   failures=$((failures + 1))
 fi
 
+# Grid numbers follow the CLI's whole-token rule: no leading '+', no hex.
 for bad in "scale = banana" "unknownkey = 1" "[faults]
 values = 2" "[policies]
 values = disjoint:0" "[seeds]
-values = 1, 1"; do
+values = 1, 1" "scale = +0.5" "scale = 0x1p-1" "[faults]
+values = 0x1p-2" "[policies]
+values = disjoint:+2" "[samples]
+values = +3" "[seeds]
+values = +7"; do
   printf '%s\n' "$bad" > "$TMP/bad_grid.txt"
   expect 2 "matrix malformed grid ($bad)" -- \
     matrix --grid "$TMP/bad_grid.txt" --work-dir "$TMP/mx"

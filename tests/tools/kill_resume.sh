@@ -23,8 +23,8 @@ case "$MODE" in
 esac
 TMP="$(mktemp -d)"
 failures=0
-# Keep the work dir when something failed: the checkpoint generations and
-# manifests in it are the post-mortem, and CI uploads them as artifacts.
+# Keep the work dir when something failed: the checkpoint generations in
+# it are the post-mortem, and CI uploads them as artifacts.
 cleanup() {
   if [[ "$failures" -eq 0 ]]; then
     rm -rf "$TMP"
@@ -39,12 +39,13 @@ fail() {
 }
 
 # Prints the checkpoint generation file holding the latest snapshot (the
-# store alternates UW3.ckpt.0 / UW3.ckpt.1; newest = larger now_ms).
+# store alternates UW3.ckpt.0 / UW3.ckpt.1; newest = larger now_ms, the
+# little-endian i64 at byte 8 of a PSCK image).
 newest_gen() {
   local dir="$1" best="" best_ms=-1 f ms
   for f in "$dir"/UW3.ckpt.*; do
     [[ -f "$f" ]] || continue
-    ms="$(awk '$1 == "now_ms" { print $2; exit }' "$f")"
+    ms="$(od -An -t d8 -j 8 -N 8 "$f" | tr -d ' ')"
     if [[ -n "$ms" && "$ms" -gt "$best_ms" ]]; then
       best="$f"
       best_ms="$ms"

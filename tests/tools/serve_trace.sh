@@ -164,6 +164,27 @@ rc=$?
 grep -q "significance=indeterminate" "$TMP/huge.out" \
   || fail "the overflowed pair was not classified indeterminate"
 
+# --- Case 6: trace numbers are whole decimal tokens ---------------------
+# A leading '+' or a hex real is a malformed line (rejected, reported, the
+# run goes on), by the same rule the CLI flags and dataset files use.
+cat > "$TMP/tokens.trace" <<EOF
+update sample +$A1 $B1 5.0 0
+update sample $A1 $B1 0x1p3 0
+tick +5
+query best rtt +$A1 $B1
+query disjoint rtt 2 $A1 $B1 0x1p3
+query best rtt $A1 $B1
+EOF
+"${SERVE[@]}" --trace "$TMP/tokens.trace" > "$TMP/tokens.out" \
+  2> "$TMP/tokens.err"
+[[ $? -eq 0 ]] || fail "malformed number tokens must not fail a lenient run"
+for line in 1 2 3 4 5; do
+  grep -q "^trace line $line:" "$TMP/tokens.err" \
+    || fail "trace line $line ('+' or hex number) was not rejected"
+done
+[[ "$(grep -c "^best rtt" "$TMP/tokens.out")" -eq 1 ]] \
+  || fail "the well-formed query after the rejected lines was not served"
+
 if [[ "$failures" -ne 0 ]]; then
   echo "$failures serve trace case(s) failed" >&2
   exit 1

@@ -1,5 +1,5 @@
 // util/codec: the little-endian writer/reader pair and the CRC-32 seal that
-// every binary format (PSRC, PSJL, PSSV) is built from.
+// every sealed format (PSRC, PSJL, PSSV, PSCK, PSMC) is built from.
 #include "util/codec.h"
 
 #include <bit>
@@ -145,6 +145,32 @@ TEST(CodecReader, TruncationAtEveryOffsetNamesTheShortField) {
     EXPECT_EQ(r.error(), std::string{"truncated file: expected "} +
                              fields[first_short].name);
   }
+}
+
+TEST(CodecRoundTrip, StringsAreLengthPrefixedAndBounded) {
+  Writer w;
+  w.str("UW3");
+  w.str("");
+  w.str(std::string_view{"a\0b", 3});
+  const std::string bytes = std::move(w).take();
+  EXPECT_EQ(bytes.substr(0, 11), std::string("\x03\0\0\0\0\0\0\0UW3", 11));
+
+  Reader r{bytes};
+  EXPECT_EQ(r.str("name", 3), "UW3");
+  EXPECT_EQ(r.str("empty", 0), "");
+  EXPECT_EQ(r.str("nul", 16), std::string_view("a\0b", 3));
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(r.remaining(), 0u);
+
+  // A declared length over the bound fails before any byte is taken, and a
+  // length past the end of the input is a truncation.
+  Reader bounded{bytes};
+  EXPECT_EQ(bounded.str("name", 2), "");
+  EXPECT_TRUE(bounded.failed());
+  EXPECT_EQ(bounded.error(), "name is longer than 2 bytes");
+  Reader cut{std::string_view{bytes}.substr(0, 10)};
+  EXPECT_EQ(cut.str("name", 3), "");
+  EXPECT_EQ(cut.error(), "truncated file: expected name");
 }
 
 TEST(CodecReader, KeepsTheFirstErrorAndReadsZeroAfterIt) {

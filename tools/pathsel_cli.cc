@@ -68,6 +68,7 @@
 #include "matrix/grid.h"
 #include "meas/campaign.h"
 #include "meas/catalog.h"
+#include "meas/checkpoint.h"
 #include "meas/serialize.h"
 #include "serve/engine.h"
 #include "serve/journal.h"
@@ -192,7 +193,8 @@ Value choice(Field& field,
              std::vector<std::pair<std::string_view, Field>> choices) {
   std::string meta;
   for (const auto& [name, value] : choices) {
-    meta += (meta.empty() ? "" : "|") + std::string{name};
+    if (!meta.empty()) meta += '|';
+    meta += name;
   }
   return {Arity::kValue, std::move(meta),
           [&field, choices = std::move(choices)](std::string_view v) {
@@ -943,11 +945,10 @@ int print_version() {
   std::printf("pathsel_cli %s\n", PATHSEL_VERSION);
   std::printf("formats:\n");
   std::printf("  dataset      pathsel-dataset v1\n");
-  std::printf("  checkpoint   pathsel-checkpoint v1\n");
+  std::printf("  checkpoint   PSCK v%u\n", meas::kCheckpointVersion);
   std::printf("  results      PSRC v%u\n", core::kResultColumnsVersion);
   std::printf("  grid         pathsel-grid v%u\n", matrix::kGridFormatVersion);
-  std::printf("  matrix-cell  pathsel-matrix-cell v%u\n",
-              matrix::kCellSummaryVersion);
+  std::printf("  matrix-cell  PSMC v%u\n", matrix::kCellSummaryVersion);
   std::printf("  journal      PSJL v%u\n", serve::kJournalVersion);
   std::printf("  serve-state  PSSV v%u\n", serve::kServeStateVersion);
   std::printf("  bench-json   schema_version 1\n");
