@@ -60,9 +60,9 @@ void run() {
                       Table::pct(c.coverage()),
                       std::to_string(c.usable_edges)});
 
-    const auto& results = result.value().results;
+    const auto& results = result.value().columns;
     const auto cdf = core::improvement_cdf(results);
-    const auto tally = core::classify_significance(results, 0.95);
+    const auto tally = core::classify_significance(results, 0.95).value();
     degradation.add_row({label, std::to_string(results.size()),
                          Table::pct(cdf.fraction_above(0.0)),
                          Table::pct(tally.better), Table::pct(tally.worse),

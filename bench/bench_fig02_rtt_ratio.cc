@@ -22,7 +22,7 @@ void run() {
     core::BuildOptions opt;
     opt.min_samples = bench::scaled_min_samples();
     const auto table = core::PathTable::build(catalog.by_name(name), opt);
-    const auto results = core::analyze_alternate_paths(table, {});
+    const auto results = core::analyze_alternate_columns(table, {}).value();
     const auto cdf = core::ratio_cdf(results);
     series.push_back(bench::cdf_series(cdf, name));
     summary.add_row({name, Table::pct(cdf.fraction_above(1.0)),

@@ -25,7 +25,7 @@ void run() {
 
   core::AnalyzerOptions mean_opt;
   mean_opt.max_intermediate_hosts = 1;
-  const auto means = core::analyze_alternate_paths(table, mean_opt);
+  const auto means = core::analyze_alternate_columns(table, mean_opt).value();
   const auto medians = core::analyze_median_alternates(table);
 
   stats::EmpiricalCdf mean_cdf = core::improvement_cdf(means);

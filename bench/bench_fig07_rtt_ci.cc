@@ -18,7 +18,7 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   const auto table = core::PathTable::build(catalog.uw3(), opt);
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::analyze_alternate_columns(table, {}).value();
   const auto points = core::confidence_cdf(results);
 
   std::printf("# Figure 7: difference,fraction,ci_lo,ci_hi (every 8th point)\n");

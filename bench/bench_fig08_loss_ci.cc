@@ -19,7 +19,7 @@ void run() {
   const auto table = core::PathTable::build(catalog.uw3(), opt);
   core::AnalyzerOptions analyze;
   analyze.metric = core::Metric::kLoss;
-  const auto results = core::analyze_alternate_paths(table, analyze);
+  const auto results = core::analyze_alternate_columns(table, analyze).value();
   const auto points = core::confidence_cdf(results);
 
   std::printf("# Figure 8: difference,fraction,ci_lo,ci_hi (every 8th point)\n");

@@ -21,7 +21,8 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   const auto uw4b_table = core::PathTable::build(catalog.uw4b(), opt);
-  const auto uw4b_results = core::analyze_alternate_paths(uw4b_table, {});
+  const auto uw4b_results =
+      core::analyze_alternate_columns(uw4b_table, {}).value();
   const auto uw4b_cdf = core::improvement_cdf(uw4b_results);
 
   const auto episodes = core::analyze_episodes(catalog.uw4a(), {});

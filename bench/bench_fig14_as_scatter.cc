@@ -17,7 +17,7 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   const auto table = core::PathTable::build(catalog.uw1(), opt);
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::analyze_alternate_columns(table, {}).value();
   const auto apps = core::as_appearances(table, results);
 
   std::printf("# Figure 14: as_id,default_count,alternate_count\n");

@@ -21,8 +21,8 @@ void run() {
     core::BuildOptions opt;
     opt.min_samples = bench::scaled_min_samples();
     const auto ptable = core::PathTable::build(catalog.by_name(name), opt);
-    const auto results = core::analyze_alternate_paths(ptable, {});
-    const auto tally = core::classify_significance(results);
+    const auto results = core::analyze_alternate_columns(ptable, {}).value();
+    const auto tally = core::classify_significance(results).value();
     table.add_row({name, Table::pct(tally.better),
                    Table::pct(tally.indeterminate), Table::pct(tally.worse)});
   }

@@ -24,8 +24,9 @@ void run() {
     const auto ptable = core::PathTable::build(catalog.by_name(name), opt);
     core::AnalyzerOptions analyze;
     analyze.metric = core::Metric::kLoss;
-    const auto results = core::analyze_alternate_paths(ptable, analyze);
-    const auto tally = core::classify_significance(results);
+    const auto results =
+        core::analyze_alternate_columns(ptable, analyze).value();
+    const auto tally = core::classify_significance(results).value();
     table.add_row({name, Table::pct(tally.better),
                    Table::pct(tally.indeterminate), Table::pct(tally.zero),
                    Table::pct(tally.worse)});

@@ -28,7 +28,7 @@ int main() {
               table.edges().size());
 
   // Figure 1 flavor: round-trip time.
-  const auto rtt = core::analyze_alternate_paths(table, {});
+  const auto rtt = core::analyze_alternate_columns(table, {}).value();
   const auto rtt_cdf = core::improvement_cdf(rtt);
   Table fig1{"RTT alternates (Figure 1 flavor)"};
   fig1.set_header({"pairs", "% better", "% gain >= 20ms", "median gain"});
@@ -41,7 +41,7 @@ int main() {
   // Figure 3 flavor: loss rate.
   core::AnalyzerOptions loss_opt;
   loss_opt.metric = core::Metric::kLoss;
-  const auto loss = core::analyze_alternate_paths(table, loss_opt);
+  const auto loss = core::analyze_alternate_columns(table, loss_opt).value();
   const auto loss_cdf = core::improvement_cdf(loss);
   Table fig3{"loss alternates (Figure 3 flavor)"};
   fig3.set_header({"pairs", "% better", "% gain >= 5pp"});
@@ -51,7 +51,7 @@ int main() {
   fig3.print(std::cout);
 
   // Table 2 flavor: is the RTT difference statistically significant?
-  const auto tally = core::classify_significance(rtt);
+  const auto tally = core::classify_significance(rtt).value();
   Table table2{"95% significance (Table 2 flavor)"};
   table2.set_header({"better", "indeterminate", "worse"});
   table2.add_row({Table::pct(tally.better), Table::pct(tally.indeterminate),

@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "core/dense_kernel.h"
+#include "core/result_columns.h"
 #include "util/expect.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -263,18 +264,12 @@ void finish_pair_result(const PathEdge& direct,
   }
 }
 
-std::vector<PairResult> analyze_alternate_paths(const PathTable& table,
-                                                const AnalyzerOptions& options) {
-  Result<std::vector<PairResult>> results =
-      analyze_alternate_paths_checked(table, options);
-  PATHSEL_EXPECT(results.is_ok(),
-                 "alternate-path sweep cancelled; use "
-                 "analyze_alternate_paths_checked for cancellable sweeps");
-  return std::move(results.value());
-}
+namespace {
 
-Result<std::vector<PairResult>> analyze_alternate_paths_checked(
-    const PathTable& table, const AnalyzerOptions& options) {
+// The one sweep behind both public forms.  A tripped options.cancel surfaces
+// as its Status after the in-flight chunks drain.
+Result<std::vector<PairResult>> sweep(const PathTable& table,
+                                      const AnalyzerOptions& options) {
   PATHSEL_EXPECT(options.kernel != Kernel::kDense ||
                      options.max_intermediate_hosts == 1,
                  "dense kernel requires max_intermediate_hosts == 1");
@@ -333,6 +328,24 @@ Result<std::vector<PairResult>> analyze_alternate_paths_checked(
               static_cast<double>(wall_clock_ns() - sweep_start) / 1e6);
   }
   return results;
+}
+
+}  // namespace
+
+std::vector<PairResult> analyze_alternate_paths(const PathTable& table,
+                                                const AnalyzerOptions& options) {
+  Result<std::vector<PairResult>> results = sweep(table, options);
+  PATHSEL_EXPECT(results.is_ok(),
+                 "alternate-path sweep cancelled; use "
+                 "analyze_alternate_columns for cancellable sweeps");
+  return std::move(results.value());
+}
+
+Result<ResultColumns> analyze_alternate_columns(
+    const PathTable& table, const AnalyzerOptions& options) {
+  Result<std::vector<PairResult>> results = sweep(table, options);
+  if (!results.is_ok()) return results.status();
+  return from_pairs(results.value(), options.metric);
 }
 
 }  // namespace pathsel::core

@@ -90,8 +90,8 @@ struct AnalyzerOptions {
   /// bit-identical for every thread count.
   int threads = 0;
   /// Optional cancellation; polled before every sweep chunk (and at block
-  /// boundaries inside the dense kernel).  Only the _checked entry point
-  /// honours it — analyze_alternate_paths() aborts on cancellation.
+  /// boundaries inside the dense kernel).  analyze_alternate_columns()
+  /// returns its Status; analyze_alternate_paths() aborts on cancellation.
   const CancelToken* cancel = nullptr;
   /// Alternate-path engine selection (see Kernel).
   Kernel kernel = Kernel::kAuto;
@@ -107,14 +107,12 @@ struct AnalyzerOptions {
 };
 
 /// Computes the best alternate for every measured pair.  Pairs whose removal
-/// disconnects A from B (no alternate exists) are omitted.
+/// disconnects A from B (no alternate exists) are omitted.  This is the
+/// sweep's native array-of-structs form, kept for the kernel differential
+/// tests and the benchmark harness; every analysis reads the columnar form,
+/// analyze_alternate_columns() (core/result_columns.h), which runs the same
+/// sweep.
 [[nodiscard]] std::vector<PairResult> analyze_alternate_paths(
-    const PathTable& table, const AnalyzerOptions& options = {});
-
-/// As analyze_alternate_paths(), but a tripped options.cancel surfaces as a
-/// Status (kDeadlineExceeded or kCancelled) after the in-flight chunks drain;
-/// partial results are discarded.
-[[nodiscard]] Result<std::vector<PairResult>> analyze_alternate_paths_checked(
     const PathTable& table, const AnalyzerOptions& options = {});
 
 /// Loss rates are clamped to this before composing or transforming, keeping

@@ -9,8 +9,8 @@
 
 #include <vector>
 
-#include "core/alternate.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 
 namespace pathsel::core {
 
@@ -20,8 +20,8 @@ struct AsAppearance {
   std::size_t alternate_count = 0;  // best alternate paths containing it
 };
 
-/// `results` must come from analyze_alternate_paths over the same table.
+/// `results` must come from analyze_alternate_columns over the same table.
 [[nodiscard]] std::vector<AsAppearance> as_appearances(
-    const PathTable& table, std::span<const PairResult> results);
+    const PathTable& table, const ResultColumns& results);
 
 }  // namespace pathsel::core

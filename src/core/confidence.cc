@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "util/expect.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -17,21 +16,7 @@ constexpr std::size_t kChunk = 256;
 
 }  // namespace
 
-SignificanceTally classify_significance(const ResultColumns& results,
-                                        double confidence, int threads) {
-  Result<SignificanceTally> tally =
-      classify_significance_checked(results, confidence, threads);
-  PATHSEL_EXPECT(tally.is_ok(), "significance sweep cancelled");
-  return tally.value();
-}
-
-SignificanceTally classify_significance(std::span<const PairResult> results,
-                                        double confidence, int threads) {
-  return classify_significance(from_pairs(results, Metric::kRtt), confidence,
-                               threads);
-}
-
-Result<SignificanceTally> classify_significance_checked(
+Result<SignificanceTally> classify_significance(
     const ResultColumns& results, double confidence, int threads,
     const CancelToken* cancel) {
   SignificanceTally tally;
@@ -67,13 +52,6 @@ Result<SignificanceTally> classify_significance_checked(
   tally.indeterminate = static_cast<double>(total[2]) / n;
   tally.zero = static_cast<double>(total[3]) / n;
   return tally;
-}
-
-Result<SignificanceTally> classify_significance_checked(
-    std::span<const PairResult> results, double confidence, int threads,
-    const CancelToken* cancel) {
-  return classify_significance_checked(from_pairs(results, Metric::kRtt),
-                                       confidence, threads, cancel);
 }
 
 void VerdictCount::record() const {
@@ -127,23 +105,8 @@ Status annotate_significance(ResultColumns& results, double confidence,
 
 std::vector<CiPoint> confidence_cdf(const ResultColumns& results,
                                     double confidence, int threads) {
-  Result<std::vector<CiPoint>> points =
-      confidence_cdf_checked(results, confidence, threads);
-  PATHSEL_EXPECT(points.is_ok(), "confidence CDF sweep cancelled");
-  return std::move(points.value());
-}
-
-std::vector<CiPoint> confidence_cdf(std::span<const PairResult> results,
-                                    double confidence, int threads) {
-  return confidence_cdf(from_pairs(results, Metric::kRtt), confidence,
-                        threads);
-}
-
-Result<std::vector<CiPoint>> confidence_cdf_checked(
-    const ResultColumns& results, double confidence, int threads,
-    const CancelToken* cancel) {
   ThreadPool& pool = ThreadPool::shared(resolve_thread_count(threads));
-  Result<std::vector<CiPoint>> mapped = pool.map_chunks<CiPoint>(
+  std::vector<CiPoint> points = pool.map_chunks<CiPoint>(
       results.size(), kChunk,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         std::vector<CiPoint> local;
@@ -155,10 +118,7 @@ Result<std::vector<CiPoint>> confidence_cdf_checked(
           local.push_back(CiPoint{t.difference, 0.0, t.half_width});
         }
         return local;
-      },
-      cancel);
-  if (!mapped.is_ok()) return mapped.status();
-  std::vector<CiPoint> points = std::move(mapped.value());
+      });
   std::sort(points.begin(), points.end(),
             [](const CiPoint& x, const CiPoint& y) {
               return x.difference < y.difference;
@@ -168,13 +128,6 @@ Result<std::vector<CiPoint>> confidence_cdf_checked(
         static_cast<double>(i + 1) / static_cast<double>(points.size());
   }
   return points;
-}
-
-Result<std::vector<CiPoint>> confidence_cdf_checked(
-    std::span<const PairResult> results, double confidence, int threads,
-    const CancelToken* cancel) {
-  return confidence_cdf_checked(from_pairs(results, Metric::kRtt), confidence,
-                                threads, cancel);
 }
 
 }  // namespace pathsel::core

@@ -5,11 +5,11 @@
 // the paper ((a - b) ± t[.975; v] · s, Jain's formulation) with
 // Welch-Satterthwaite degrees of freedom from the per-edge sample statistics.
 // Tables 2/3 classify pairs as better / worse / indeterminate (loss adds a
-// "zero" class for pairs that saw no losses at all on either path).
+// "zero" class for pairs that saw no losses at all on either path).  Every
+// function here reads the ResultColumns of one sweep.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,25 +27,14 @@ struct SignificanceTally {
   double zero = 0.0;           // loss-rate only
 };
 
-/// `threads` <= 0 means util::default_thread_count(); 1 forces the serial
-/// path.  Both sweeps are bit-identical for every thread count.  The
-/// columnar overloads are the implementation; the PairResult spans delegate
-/// through from_pairs so one code path serves both (and the pre-refactor
-/// goldens pin the columnar port).
-[[nodiscard]] SignificanceTally classify_significance(
-    const ResultColumns& results, double confidence = 0.95, int threads = 0);
-[[nodiscard]] SignificanceTally classify_significance(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0);
-
-/// As classify_significance(), but polls `cancel` before every chunk and
-/// returns its status (kDeadlineExceeded or kCancelled) when tripped.
-[[nodiscard]] Result<SignificanceTally> classify_significance_checked(
+/// Tallies the per-pair verdicts of classify_pair().  `threads` <= 0 means
+/// util::default_thread_count(); 1 forces the serial path; the tally is
+/// bit-identical for every thread count.  `cancel` is polled before every
+/// chunk, and a tripped token surfaces as its Status (kDeadlineExceeded or
+/// kCancelled).
+[[nodiscard]] Result<SignificanceTally> classify_significance(
     const ResultColumns& results, double confidence = 0.95, int threads = 0,
     const CancelToken* cancel = nullptr);
-[[nodiscard]] Result<SignificanceTally> classify_significance_checked(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0, const CancelToken* cancel = nullptr);
 
 /// Verdicts given by classify_pair() and how many of them took
 /// stats::welch_verdict()'s exact-quantile fallback.  Sweeps keep one per
@@ -84,19 +73,9 @@ struct CiPoint {
   double half_width = 0.0;
 };
 
-/// Points sorted by difference (the CDF), each with its own half-width.
+/// Points sorted by difference (the CDF), each with its own half-width;
+/// bit-identical for every thread count.
 [[nodiscard]] std::vector<CiPoint> confidence_cdf(
     const ResultColumns& results, double confidence = 0.95, int threads = 0);
-[[nodiscard]] std::vector<CiPoint> confidence_cdf(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0);
-
-/// As confidence_cdf(), but cancellable; partial CDFs are discarded.
-[[nodiscard]] Result<std::vector<CiPoint>> confidence_cdf_checked(
-    const ResultColumns& results, double confidence = 0.95, int threads = 0,
-    const CancelToken* cancel = nullptr);
-[[nodiscard]] Result<std::vector<CiPoint>> confidence_cdf_checked(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0, const CancelToken* cancel = nullptr);
 
 }  // namespace pathsel::core

@@ -10,10 +10,12 @@ namespace pathsel::core {
 
 namespace {
 
-double mean_improvement(std::span<const PairResult> results) {
+double mean_improvement(const ResultColumns& results) {
   if (results.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& r : results) total += r.improvement();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    total += results.improvement(i);
+  }
   return total / static_cast<double>(results.size());
 }
 
@@ -27,7 +29,7 @@ TopHostsResult remove_top_hosts(const PathTable& table, Metric metric,
   options.threads = threads;
 
   TopHostsResult out;
-  out.full_results = analyze_alternate_paths(table, options);
+  out.full_results = analyze_alternate_columns(table, options).value();
 
   PathTable current = table.without_hosts({});
   for (int round = 0; round < count; ++round) {
@@ -36,8 +38,8 @@ TopHostsResult remove_top_hosts(const PathTable& table, Metric metric,
     for (const topo::HostId candidate : current.hosts()) {
       const topo::HostId removal[] = {candidate};
       const PathTable reduced = current.without_hosts(removal);
-      const double mean = mean_improvement(
-          analyze_alternate_paths(reduced, options));
+      const double mean =
+          mean_improvement(analyze_alternate_columns(reduced, options).value());
       if (mean < best_mean) {
         best_mean = mean;
         best_host = candidate;
@@ -48,7 +50,7 @@ TopHostsResult remove_top_hosts(const PathTable& table, Metric metric,
     current = current.without_hosts(removal);
     out.removed.push_back(best_host);
   }
-  out.reduced_results = analyze_alternate_paths(current, options);
+  out.reduced_results = analyze_alternate_columns(current, options).value();
   return out;
 }
 

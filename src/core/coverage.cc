@@ -81,25 +81,17 @@ Result<DegradedAnalysis> analyze_with_coverage(const meas::Dataset& dataset,
     return Status::error(ErrorCode::kInsufficientData,
                          "no path met the min_samples filter");
   }
-  Result<std::vector<PairResult>> swept =
-      analyze_alternate_paths_checked(table.value(), analyze);
+  Result<ResultColumns> swept =
+      analyze_alternate_columns(table.value(), analyze);
   if (!swept.is_ok()) return swept.status();
-  out.results = std::move(swept.value());
-  out.coverage.analyzable_edges = out.results.size();
+  out.columns = std::move(swept.value());
+  if (out.columns.empty()) {
+    return Status::error(ErrorCode::kInsufficientData,
+                         "no measured pair has an alternate path");
+  }
+  out.coverage.analyzable_edges = out.columns.size();
   out.coverage.disconnected_edges =
       out.coverage.usable_edges - out.coverage.analyzable_edges;
-  return out;
-}
-
-Result<DegradedColumnsAnalysis> analyze_columns_with_coverage(
-    const meas::Dataset& dataset, const BuildOptions& build,
-    const AnalyzerOptions& analyze) {
-  Result<DegradedAnalysis> swept =
-      analyze_with_coverage(dataset, build, analyze);
-  if (!swept.is_ok()) return swept.status();
-  DegradedColumnsAnalysis out;
-  out.columns = from_pairs(swept.value().results, analyze.metric);
-  out.coverage = swept.value().coverage;
   return out;
 }
 

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "core/alternate.h"
 #include "core/path_table.h"
@@ -54,31 +53,20 @@ struct CoverageSummary {
                                                  const PathTable& table);
 
 struct DegradedAnalysis {
-  std::vector<PairResult> results;
+  ResultColumns columns;  // tagged with the analyzer's metric
   CoverageSummary coverage;
 };
 
-/// analyze_alternate_paths with a graceful error path: returns
+/// analyze_alternate_columns with a graceful error path: returns
 /// kInsufficientData when the dataset cannot support any analysis (fewer
-/// than two hosts, or no edge survived the sample filter) and
-/// kInvalidArgument for metric/dataset mismatches (per-probe RTT and loss
-/// metrics need a traceroute dataset).  On success the coverage summary has
-/// analyzable_edges/disconnected_edges filled in from the results.  A cancel
-/// token set on either options struct propagates: cancellation surfaces as
-/// kDeadlineExceeded/kCancelled instead of aborting.
+/// than two hosts, no edge survived the sample filter, or no surviving edge
+/// has an alternate path) and kInvalidArgument for metric/dataset mismatches
+/// (per-probe RTT and loss metrics need a traceroute dataset).  On success
+/// the coverage summary has analyzable_edges/disconnected_edges filled in
+/// from the results.  A cancel token set on either options struct
+/// propagates: cancellation surfaces as kDeadlineExceeded/kCancelled instead
+/// of aborting.
 [[nodiscard]] Result<DegradedAnalysis> analyze_with_coverage(
-    const meas::Dataset& dataset, const BuildOptions& build = {},
-    const AnalyzerOptions& analyze = {});
-
-struct DegradedColumnsAnalysis {
-  ResultColumns columns;
-  CoverageSummary coverage;
-};
-
-/// analyze_with_coverage with the sweep's PairResults transposed into the
-/// columnar results core (tagged with the analyzer's metric) — the shape the
-/// post-processing layer and the --results-out interchange consume.
-[[nodiscard]] Result<DegradedColumnsAnalysis> analyze_columns_with_coverage(
     const meas::Dataset& dataset, const BuildOptions& build = {},
     const AnalyzerOptions& analyze = {});
 

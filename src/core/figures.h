@@ -4,7 +4,9 @@
 // results to the exact quantities plotted: absolute improvement (default −
 // alternate for RTT/loss; alternate − default for bandwidth, so positive is
 // always "alternate superior") and relative improvement (>1 means the
-// alternate is superior).
+// alternate is superior).  The RTT/loss/propagation helpers read the
+// ResultColumns that analyze_alternate_columns() emits; the bandwidth helpers
+// read the separate one-hop bandwidth sweep (core/bandwidth.h).
 //
 // Each sweep takes a `threads` knob (<= 0 means util::default_thread_count(),
 // 1 forces the serial path); per-pair values are computed in fixed chunks and
@@ -20,18 +22,10 @@
 
 namespace pathsel::core {
 
-// The columnar overloads are the implementation; the PairResult spans
-// delegate through from_pairs, so every caller exercises the same sweep and
-// the pre-refactor goldens pin the columnar port byte for byte.
-
 [[nodiscard]] stats::EmpiricalCdf improvement_cdf(const ResultColumns& results,
                                                   int threads = 0);
-[[nodiscard]] stats::EmpiricalCdf improvement_cdf(
-    std::span<const PairResult> results, int threads = 0);
 
 [[nodiscard]] stats::EmpiricalCdf ratio_cdf(const ResultColumns& results,
-                                            int threads = 0);
-[[nodiscard]] stats::EmpiricalCdf ratio_cdf(std::span<const PairResult> results,
                                             int threads = 0);
 
 [[nodiscard]] stats::EmpiricalCdf bandwidth_improvement_cdf(
@@ -42,8 +36,6 @@ namespace pathsel::core {
 
 /// Fraction of pairs for which the best alternate is strictly better.
 [[nodiscard]] double fraction_improved(const ResultColumns& results,
-                                       int threads = 0);
-[[nodiscard]] double fraction_improved(std::span<const PairResult> results,
                                        int threads = 0);
 [[nodiscard]] double fraction_improved(
     std::span<const BandwidthPairResult> results, int threads = 0);

@@ -64,8 +64,9 @@ struct BuildOptions {
   int threads = 0;
   /// Optional cancellation (deadline, signal, watchdog).  Polled during the
   /// serial grouping pass and before every accumulation chunk; a tripped
-  /// token makes build_checked() return the token's status.  Only
-  /// build_checked() honours it — plain build() aborts on cancellation.
+  /// token makes build_checked() return the token's status.  Plain build()
+  /// aborts on cancellation; it stays for callers that never set a token
+  /// (the per-bin and per-episode analyses, tests, the benchmark harness).
   const CancelToken* cancel = nullptr;
 };
 

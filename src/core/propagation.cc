@@ -30,22 +30,28 @@ PropagationAnalysis analyze_propagation(const PathTable& table) {
 
   AnalyzerOptions rtt_options;
   rtt_options.metric = Metric::kRtt;
-  out.rtt_results = analyze_alternate_paths(table, rtt_options);
+  out.rtt_results = analyze_alternate_columns(table, rtt_options).value();
 
   AnalyzerOptions prop_options;
   prop_options.metric = Metric::kPropagation;
-  out.propagation_results = analyze_alternate_paths(table, prop_options);
+  out.propagation_results =
+      analyze_alternate_columns(table, prop_options).value();
 
   // Decompose the mean-RTT alternates: the propagation of the chosen
   // alternate is the sum of its constituent edges' 10th-percentile RTTs.
-  for (const PairResult& r : out.rtt_results) {
-    const PathEdge* direct = table.find(r.a, r.b);
+  const ResultColumns& rtt = out.rtt_results;
+  for (std::size_t r = 0; r < rtt.size(); ++r) {
+    const topo::HostId src{rtt.src[r]};
+    const topo::HostId dst{rtt.dst[r]};
+    const PathEdge* direct = table.find(src, dst);
     PATHSEL_EXPECT(direct != nullptr, "result for unmeasured pair");
 
+    const std::span<const std::int32_t> via = rtt.via_of(r);
     std::vector<topo::HostId> chain;
-    chain.push_back(r.a);
-    chain.insert(chain.end(), r.via.begin(), r.via.end());
-    chain.push_back(r.b);
+    chain.reserve(via.size() + 2);
+    chain.push_back(src);
+    for (const std::int32_t h : via) chain.emplace_back(h);
+    chain.push_back(dst);
     double alt_prop = 0.0;
     bool complete = true;
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
@@ -59,7 +65,7 @@ PropagationAnalysis analyze_propagation(const PathTable& table) {
     if (!complete) continue;
 
     PropagationPoint p;
-    p.total_diff = r.improvement();
+    p.total_diff = rtt.improvement(r);
     p.prop_diff = direct->propagation_ms() - alt_prop;
     p.group = classify_group(p.total_diff, p.prop_diff);
     out.group_counts[static_cast<std::size_t>(p.group - 1)] += 1;

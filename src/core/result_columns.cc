@@ -59,7 +59,8 @@ std::span<const std::int32_t> ResultColumns::via_of(std::size_t i) const {
       via_offset[i], static_cast<std::size_t>(hop_count[i]));
 }
 
-ResultColumns from_pairs(std::span<const PairResult> results, Metric metric) {
+ResultColumns from_pairs(const std::vector<PairResult>& results,
+                         Metric metric) {
   ResultColumns c;
   c.metric = metric;
   const std::size_t n = results.size();

@@ -11,11 +11,15 @@
 // significance class) plus a flattened relay-sequence column, tagged with
 // the metric the sweep ran — one column set per metric.
 //
-// Sweeps still *produce* PairResults (the engines' native shape); everything
-// after a sweep reads columns.  from_pairs()/to_pairs() convert losslessly —
-// the round-trip reproduces every field bit for bit, which the differential
-// test harness (tests/core/result_columns_test.cc) locks in together with
-// byte-identical figure/table/CLI output before and after the port.
+// ResultColumns is the one shape that leaves a sweep:
+// analyze_alternate_columns() runs the alternate-path sweep and transposes
+// its PairResults (the engines' native shape) here, and every analysis after
+// it reads columns.  The AoS analyze_alternate_paths() stays only as the
+// kernel differential tests' and the benchmark harness's form.
+// from_pairs()/to_pairs() convert losslessly — the round-trip reproduces
+// every field bit for bit, which the differential test harness
+// (tests/core/result_columns_test.cc) locks in together with byte-identical
+// figure/table/CLI output before and after the port.
 //
 // On disk the columns use a versioned little-endian binary format (encoded
 // and decoded through util/codec.h, the one place that knows the LE field
@@ -126,10 +130,17 @@ struct ResultColumns {
   }
 };
 
+/// The alternate-path sweep of analyze_alternate_paths() (core/alternate.h)
+/// as columns tagged with options.metric.  A tripped options.cancel surfaces
+/// as a Status (kDeadlineExceeded or kCancelled) after the in-flight chunks
+/// drain; partial results are discarded.
+[[nodiscard]] Result<ResultColumns> analyze_alternate_columns(
+    const PathTable& table, const AnalyzerOptions& options = {});
+
 /// Transposes a sweep's PairResult vector into columns (O(1) per field —
 /// a straight copy, no recomputation).  `metric` tags the column set; the
 /// significance column starts kUnclassified.
-[[nodiscard]] ResultColumns from_pairs(std::span<const PairResult> results,
+[[nodiscard]] ResultColumns from_pairs(const std::vector<PairResult>& results,
                                        Metric metric);
 
 /// Inverse of from_pairs: every PairResult field is reproduced bit for bit

@@ -193,20 +193,20 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
   }
   analyze.threads = ctx.threads;
   analyze.cancel = ctx.cancel;
-  auto result = core::analyze_columns_with_coverage(ds, build, analyze);
+  auto result = core::analyze_with_coverage(ds, build, analyze);
   if (!result.is_ok()) {
     return infrastructure_failure(result.status()) ? result.status()
                                                    : degrade(result.status());
   }
-  core::DegradedColumnsAnalysis& analysis = result.value();
+  core::DegradedAnalysis& analysis = result.value();
   summary.hosts = analysis.coverage.hosts;
   summary.usable_edges = analysis.coverage.usable_edges;
   summary.coverage = analysis.coverage.coverage();
   summary.pairs = analysis.columns.size();
   const auto cdf = core::improvement_cdf(analysis.columns, ctx.threads);
   summary.better = cdf.fraction_above(0.0);
-  const auto tally = core::classify_significance_checked(
-      analysis.columns, 0.95, ctx.threads, ctx.cancel);
+  const auto tally = core::classify_significance(analysis.columns, 0.95,
+                                                 ctx.threads, ctx.cancel);
   if (!tally.is_ok()) {
     return infrastructure_failure(tally.status()) ? tally.status()
                                                   : degrade(tally.status());

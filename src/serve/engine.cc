@@ -26,6 +26,29 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
   return ::access(path.c_str(), F_OK) == 0;
 }
 
+// The engine serves one row set for both metrics.  A pair whose alternate is
+// finite under one metric only (say, RTT sums that overflow to +inf) is kept
+// by one sweep and dropped by the other; name the first row they disagree on.
+[[nodiscard]] Status check_same_pairs(const core::ResultColumns& rtt,
+                                      const core::ResultColumns& loss) {
+  if (rtt.src == loss.src && rtt.dst == loss.dst) return Status::ok();
+  const auto pair = [](const core::ResultColumns& cols, std::size_t i) {
+    return i < cols.size() ? std::to_string(cols.src[i]) + "-" +
+                                 std::to_string(cols.dst[i])
+                           : std::string{"none"};
+  };
+  std::size_t i = 0;
+  while (i < rtt.size() && i < loss.size() && rtt.src[i] == loss.src[i] &&
+         rtt.dst[i] == loss.dst[i]) {
+    ++i;
+  }
+  return Status::error(
+      ErrorCode::kDisconnected,
+      "rtt and loss sweeps keep different pairs: row " + std::to_string(i) +
+          " is " + pair(rtt, i) + " under rtt but " + pair(loss, i) +
+          " under loss");
+}
+
 }  // namespace
 
 std::uint64_t ServeEngine::compute_fingerprint(const meas::Dataset& dataset,
@@ -77,10 +100,10 @@ Status ServeEngine::init(const meas::Dataset& dataset,
     analyzer.max_intermediate_hosts = 1;
     analyzer.threads = options_.threads;
     analyzer.cancel = options_.cancel;
-    Result<std::vector<core::PairResult>> pairs =
-        core::analyze_alternate_paths_checked(table_, analyzer);
-    if (!pairs.is_ok()) return pairs.status();
-    core::ResultColumns cols = core::from_pairs(pairs.value(), metric);
+    Result<core::ResultColumns> swept =
+        core::analyze_alternate_columns(table_, analyzer);
+    if (!swept.is_ok()) return swept.status();
+    core::ResultColumns& cols = swept.value();
     if (Status s = core::annotate_significance(cols, options_.confidence,
                                                options_.threads,
                                                options_.cancel);
@@ -89,9 +112,7 @@ Status ServeEngine::init(const meas::Dataset& dataset,
     }
     (metric == core::Metric::kRtt ? cols_rtt_ : cols_loss_) = std::move(cols);
   }
-  PATHSEL_EXPECT(cols_rtt_.src == cols_loss_.src &&
-                     cols_rtt_.dst == cols_loss_.dst,
-                 "rtt and loss sweeps disagree on the served pair set");
+  if (Status s = check_same_pairs(cols_rtt_, cols_loss_); !s.is_ok()) return s;
 
   auto index = std::make_shared<RowIndex>();
   index->reserve(cols_rtt_.size());

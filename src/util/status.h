@@ -66,15 +66,16 @@ class Result {
   [[nodiscard]] bool is_ok() const noexcept { return value_.has_value(); }
   [[nodiscard]] const Status& status() const noexcept { return status_; }
 
-  /// Requires is_ok().
-  [[nodiscard]] T& value() {
+  /// Requires is_ok().  On a temporary Result the value is moved out.
+  [[nodiscard]] T& value() & {
     PATHSEL_EXPECT(value_.has_value(), "Result::value() on an error result");
     return *value_;
   }
-  [[nodiscard]] const T& value() const {
+  [[nodiscard]] const T& value() const& {
     PATHSEL_EXPECT(value_.has_value(), "Result::value() on an error result");
     return *value_;
   }
+  [[nodiscard]] T&& value() && { return std::move(value()); }
 
  private:
   Status status_;

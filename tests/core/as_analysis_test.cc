@@ -33,7 +33,8 @@ PathTable as_table() {
 
 TEST(AsAnalysis, CountsDefaultAppearances) {
   const auto table = as_table();
-  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
+  const auto results =
+      analyze_alternate_columns(table, AnalyzerOptions{}).value();
   const auto apps = as_appearances(table, results);
   auto find = [&apps](int as) -> const AsAppearance* {
     for (const auto& a : apps) {
@@ -51,7 +52,8 @@ TEST(AsAnalysis, CountsDefaultAppearances) {
 
 TEST(AsAnalysis, CountsAlternateAppearances) {
   const auto table = as_table();
-  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
+  const auto results =
+      analyze_alternate_columns(table, AnalyzerOptions{}).value();
   const auto apps = as_appearances(table, results);
   auto find = [&apps](int as) -> const AsAppearance* {
     for (const auto& a : apps) {
@@ -70,7 +72,8 @@ TEST(AsAnalysis, CountsAlternateAppearances) {
 
 TEST(AsAnalysis, SortedByAsId) {
   const auto table = as_table();
-  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
+  const auto results =
+      analyze_alternate_columns(table, AnalyzerOptions{}).value();
   const auto apps = as_appearances(table, results);
   for (std::size_t i = 1; i < apps.size(); ++i) {
     EXPECT_LT(apps[i - 1].as, apps[i].as);

@@ -11,8 +11,8 @@ using test::add_invocation;
 using test::add_invocations;
 using test::make_dataset;
 
-std::vector<PairResult> rtt_results(const PathTable& table) {
-  return analyze_alternate_paths(table, AnalyzerOptions{});
+ResultColumns rtt_results(const PathTable& table) {
+  return analyze_alternate_columns(table, AnalyzerOptions{}).value();
 }
 
 TEST(Confidence, TallyFractionsSumToOne) {
@@ -23,7 +23,7 @@ TEST(Confidence, TallyFractionsSumToOne) {
   add_invocations(ds, 0, 3, 80.0, 10);
   add_invocations(ds, 3, 1, 80.0, 10);
   const auto table = PathTable::build(ds, test::min_samples(1));
-  const auto tally = classify_significance(rtt_results(table));
+  const auto tally = classify_significance(rtt_results(table)).value();
   EXPECT_GT(tally.pairs, 0u);
   EXPECT_NEAR(tally.better + tally.worse + tally.indeterminate + tally.zero,
               1.0, 1e-12);
@@ -39,9 +39,10 @@ TEST(Confidence, ClearWinnerClassifiedBetter) {
   }
   const auto table = PathTable::build(ds, test::min_samples(1));
   const auto results = rtt_results(table);
-  for (const auto& r : results) {
-    const auto t = stats::welch_ttest(r.default_estimate, r.alternate_estimate);
-    if (r.a == topo::HostId{0} && r.b == topo::HostId{1}) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto t = stats::welch_ttest(results.default_estimate(i),
+                                      results.alternate_estimate(i));
+    if (results.src[i] == 0 && results.dst[i] == 1) {
       EXPECT_EQ(t.verdict, stats::Significance::kBetter);
     } else {
       EXPECT_EQ(t.verdict, stats::Significance::kWorse);
@@ -61,7 +62,7 @@ TEST(Confidence, NoisyTieIndeterminate) {
                               30.0 + rng.normal(0, 20)});
   }
   const auto table = PathTable::build(ds, test::min_samples(1));
-  const auto tally = classify_significance(rtt_results(table));
+  const auto tally = classify_significance(rtt_results(table)).value();
   EXPECT_GT(tally.indeterminate, 0.0);
 }
 
@@ -73,7 +74,9 @@ TEST(Confidence, LossZeroClass) {
   const auto table = PathTable::build(ds, test::min_samples(1));
   AnalyzerOptions opt;
   opt.metric = Metric::kLoss;
-  const auto tally = classify_significance(analyze_alternate_paths(table, opt));
+  const auto tally =
+      classify_significance(analyze_alternate_columns(table, opt).value())
+          .value();
   EXPECT_DOUBLE_EQ(tally.zero, 1.0);
 }
 
@@ -98,9 +101,9 @@ TEST(Confidence, CdfSortedWithFractions) {
 }
 
 TEST(Confidence, EmptyInputHandled) {
-  const auto tally = classify_significance(std::span<const PairResult>{});
+  const auto tally = classify_significance(ResultColumns{}).value();
   EXPECT_EQ(tally.pairs, 0u);
-  EXPECT_TRUE(confidence_cdf(std::span<const PairResult>{}).empty());
+  EXPECT_TRUE(confidence_cdf(ResultColumns{}).empty());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "core/alternate.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 #include "meas/dataset.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -369,7 +370,7 @@ TEST(DenseKernel, CancellationSurfacesStatus) {
   o.max_intermediate_hosts = 1;
   o.kernel = Kernel::kDense;
   o.cancel = &cancel;
-  const auto result = analyze_alternate_paths_checked(table, o);
+  const auto result = analyze_alternate_columns(table, o);
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
 }

@@ -127,10 +127,12 @@ TEST(ParallelDeterminism, ConfidenceSweepsMatchSerial) {
   const auto table = build_table(1);
   core::AnalyzerOptions opt;
   opt.threads = 1;
-  const auto results = core::analyze_alternate_paths(table, opt);
+  const auto results = core::analyze_alternate_columns(table, opt).value();
 
-  const auto serial_tally = core::classify_significance(results, 0.95, 1);
-  const auto threaded_tally = core::classify_significance(results, 0.95, 8);
+  const auto serial_tally =
+      core::classify_significance(results, 0.95, 1).value();
+  const auto threaded_tally =
+      core::classify_significance(results, 0.95, 8).value();
   EXPECT_EQ(serial_tally.pairs, threaded_tally.pairs);
   EXPECT_EQ(serial_tally.better, threaded_tally.better);
   EXPECT_EQ(serial_tally.worse, threaded_tally.worse);
@@ -151,7 +153,7 @@ TEST(ParallelDeterminism, FigureCdfsMatchSerial) {
   const auto table = build_table(1);
   core::AnalyzerOptions opt;
   opt.threads = 1;
-  const auto results = core::analyze_alternate_paths(table, opt);
+  const auto results = core::analyze_alternate_columns(table, opt).value();
 
   const auto serial_cdf = core::improvement_cdf(results, 1);
   const auto threaded_cdf = core::improvement_cdf(results, 8);
@@ -160,8 +162,8 @@ TEST(ParallelDeterminism, FigureCdfsMatchSerial) {
   const auto tv = threaded_cdf.sorted_values();
   for (std::size_t i = 0; i < sv.size(); ++i) EXPECT_EQ(sv[i], tv[i]);
 
-  EXPECT_EQ(core::fraction_improved(std::span<const core::PairResult>{results}, 1),
-            core::fraction_improved(std::span<const core::PairResult>{results}, 8));
+  EXPECT_EQ(core::fraction_improved(results, 1),
+            core::fraction_improved(results, 8));
 }
 
 }  // namespace

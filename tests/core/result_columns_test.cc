@@ -1,15 +1,18 @@
 // Differential/golden equivalence harness for the columnar results core.
 //
 // The columnar refactor promises to be invisible: pairs -> columns -> pairs
-// reproduces every PairResult field bit for bit, the figure/confidence
-// sweeps give bit-identical answers whether they read the AoS vector or the
-// columns, serialize -> parse -> serialize is byte-stable, and every
+// reproduces every PairResult field bit for bit, analyze_alternate_columns is
+// the AoS sweep transposed, the figure/confidence sweeps over the columns
+// match a serial per-PairResult reference in bits, serialize -> parse ->
+// serialize is byte-stable, and every
 // malformed binary file is rejected with an explanatory Status.  This suite
 // locks each promise against seeded random corpora spanning sizes, metrics,
 // D2-degraded datasets and kNoRelay edges, at 1, 4 and 8 worker threads —
 // the same discipline as dense_kernel_diff_test.cc.
 #include "core/result_columns.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -178,7 +181,8 @@ TEST(ResultColumns, SignificanceColumnSurvivesTheRoundTrip) {
   EXPECT_EQ(parsed.value().front().significance, columns.significance);
 }
 
-// --- the differential layer: AoS and columnar sweeps must agree in bits ---
+// --- the differential layer: columnar sweeps agree in bits with a serial
+// per-PairResult reference ---
 
 TEST(ResultColumns, FigureSweepsMatchPairSweeps) {
   std::uint64_t seed = 3301;
@@ -186,25 +190,31 @@ TEST(ResultColumns, FigureSweepsMatchPairSweeps) {
     SCOPED_TRACE(testing::Message() << "corpus size " << n);
     const auto pairs = random_pairs(n, seed++);
     const ResultColumns columns = from_pairs(pairs, Metric::kRtt);
-    const std::span<const PairResult> span{pairs};
+    stats::EmpiricalCdf improvements;
+    stats::EmpiricalCdf ratios;
+    std::size_t improved = 0;
+    for (const PairResult& r : pairs) {
+      improvements.add(r.improvement());
+      ratios.add(r.ratio());
+      improved += r.improvement() > 0.0 ? 1u : 0u;
+    }
+    const double fraction =
+        n == 0 ? 0.0 : static_cast<double>(improved) / static_cast<double>(n);
     for (const int threads : {1, 4, 8}) {
       SCOPED_TRACE(testing::Message() << "threads " << threads);
-      const auto cdf_pairs = improvement_cdf(span, threads);
       const auto cdf_cols = improvement_cdf(columns, threads);
-      ASSERT_EQ(cdf_pairs.size(), cdf_cols.size());
-      for (std::size_t i = 0; i < cdf_pairs.size(); ++i) {
-        expect_same_bits(cdf_pairs.sorted_values()[i],
+      ASSERT_EQ(improvements.size(), cdf_cols.size());
+      for (std::size_t i = 0; i < cdf_cols.size(); ++i) {
+        expect_same_bits(improvements.sorted_values()[i],
                          cdf_cols.sorted_values()[i]);
       }
-      const auto ratio_pairs = ratio_cdf(span, threads);
       const auto ratio_cols = ratio_cdf(columns, threads);
-      ASSERT_EQ(ratio_pairs.size(), ratio_cols.size());
-      for (std::size_t i = 0; i < ratio_pairs.size(); ++i) {
-        expect_same_bits(ratio_pairs.sorted_values()[i],
+      ASSERT_EQ(ratios.size(), ratio_cols.size());
+      for (std::size_t i = 0; i < ratio_cols.size(); ++i) {
+        expect_same_bits(ratios.sorted_values()[i],
                          ratio_cols.sorted_values()[i]);
       }
-      expect_same_bits(fraction_improved(span, threads),
-                       fraction_improved(columns, threads));
+      expect_same_bits(fraction, fraction_improved(columns, threads));
     }
   }
 }
@@ -212,24 +222,42 @@ TEST(ResultColumns, FigureSweepsMatchPairSweeps) {
 TEST(ResultColumns, ConfidenceSweepsMatchPairSweeps) {
   const auto pairs = random_pairs(600, 5501);
   const ResultColumns columns = from_pairs(pairs, Metric::kRtt);
-  const std::span<const PairResult> span{pairs};
+  // Serial reference over the PairResults: Welch verdict counts and the
+  // sorted (difference, half-width) points.
+  std::array<std::size_t, 4> verdicts{};
+  std::vector<CiPoint> reference;
+  for (const PairResult& r : pairs) {
+    ++verdicts[static_cast<std::size_t>(stats::welch_verdict(
+        r.default_estimate, r.alternate_estimate, 0.95))];
+    const auto t =
+        stats::welch_ttest(r.default_estimate, r.alternate_estimate, 0.95);
+    reference.push_back(CiPoint{t.difference, 0.0, t.half_width});
+  }
+  std::sort(reference.begin(), reference.end(),
+            [](const CiPoint& x, const CiPoint& y) {
+              return x.difference < y.difference;
+            });
+  const auto n = static_cast<double>(pairs.size());
   for (const int threads : {1, 4, 8}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
-    const auto tally_pairs = classify_significance(span, 0.95, threads);
-    const auto tally_cols = classify_significance(columns, 0.95, threads);
-    EXPECT_EQ(tally_pairs.pairs, tally_cols.pairs);
-    expect_same_bits(tally_pairs.better, tally_cols.better);
-    expect_same_bits(tally_pairs.worse, tally_cols.worse);
-    expect_same_bits(tally_pairs.indeterminate, tally_cols.indeterminate);
-    expect_same_bits(tally_pairs.zero, tally_cols.zero);
+    const auto tally_cols =
+        classify_significance(columns, 0.95, threads).value();
+    EXPECT_EQ(tally_cols.pairs, pairs.size());
+    const auto count = [&](stats::Significance s) {
+      return static_cast<double>(verdicts[static_cast<std::size_t>(s)]) / n;
+    };
+    expect_same_bits(count(stats::Significance::kBetter), tally_cols.better);
+    expect_same_bits(count(stats::Significance::kWorse), tally_cols.worse);
+    expect_same_bits(count(stats::Significance::kIndeterminate),
+                     tally_cols.indeterminate);
+    expect_same_bits(count(stats::Significance::kZero), tally_cols.zero);
 
-    const auto ci_pairs = confidence_cdf(span, 0.95, threads);
     const auto ci_cols = confidence_cdf(columns, 0.95, threads);
-    ASSERT_EQ(ci_pairs.size(), ci_cols.size());
-    for (std::size_t i = 0; i < ci_pairs.size(); ++i) {
-      expect_same_bits(ci_pairs[i].difference, ci_cols[i].difference);
-      expect_same_bits(ci_pairs[i].fraction, ci_cols[i].fraction);
-      expect_same_bits(ci_pairs[i].half_width, ci_cols[i].half_width);
+    ASSERT_EQ(reference.size(), ci_cols.size());
+    for (std::size_t i = 0; i < ci_cols.size(); ++i) {
+      expect_same_bits(reference[i].difference, ci_cols[i].difference);
+      expect_same_bits(static_cast<double>(i + 1) / n, ci_cols[i].fraction);
+      expect_same_bits(reference[i].half_width, ci_cols[i].half_width);
     }
   }
 }
@@ -237,7 +265,7 @@ TEST(ResultColumns, ConfidenceSweepsMatchPairSweeps) {
 TEST(ResultColumns, ThreadCountInvariance) {
   const ResultColumns columns = from_pairs(random_pairs(900, 8801), Metric::kRtt);
   const auto cdf1 = improvement_cdf(columns, 1);
-  const auto tally1 = classify_significance(columns, 0.95, 1);
+  const auto tally1 = classify_significance(columns, 0.95, 1).value();
   ResultColumns annotated1 = columns;
   ASSERT_TRUE(annotate_significance(annotated1, 0.95, 1).is_ok());
   for (const int threads : {4, 8}) {
@@ -247,7 +275,7 @@ TEST(ResultColumns, ThreadCountInvariance) {
     for (std::size_t i = 0; i < cdf_t.size(); ++i) {
       expect_same_bits(cdf1.sorted_values()[i], cdf_t.sorted_values()[i]);
     }
-    const auto tally_t = classify_significance(columns, 0.95, threads);
+    const auto tally_t = classify_significance(columns, 0.95, threads).value();
     expect_same_bits(tally1.better, tally_t.better);
     expect_same_bits(tally1.worse, tally_t.worse);
     expect_same_bits(tally1.indeterminate, tally_t.indeterminate);
@@ -260,7 +288,7 @@ TEST(ResultColumns, ThreadCountInvariance) {
 
 TEST(ResultColumns, AnnotateAgreesWithTally) {
   ResultColumns columns = from_pairs(random_pairs(400, 6201), Metric::kLoss);
-  const auto tally = classify_significance(columns, 0.95, 1);
+  const auto tally = classify_significance(columns, 0.95, 1).value();
   ASSERT_TRUE(annotate_significance(columns, 0.95, 1).is_ok());
   std::size_t better = 0, worse = 0, indet = 0, zero = 0;
   for (const std::int8_t s : columns.significance) {
@@ -291,18 +319,61 @@ TEST(ResultColumns, AnalyzeColumnsMatchesAnalyzeWithCoverage) {
   add_invocations(ds, 0, 3, 50.0, 3);
   add_invocations(ds, 1, 3, 40.0, 3);
   add_invocations(ds, 2, 3, 30.0, 3);
-  const auto aos = analyze_with_coverage(ds, min_samples(2));
-  const auto cols = analyze_columns_with_coverage(ds, min_samples(2));
-  ASSERT_TRUE(aos.is_ok());
-  ASSERT_TRUE(cols.is_ok());
-  EXPECT_EQ(cols.value().columns.metric, Metric::kRtt);
-  expect_pairs_identical(aos.value().results, to_pairs(cols.value().columns));
-  EXPECT_EQ(aos.value().coverage.covered_pairs,
-            cols.value().coverage.covered_pairs);
-  EXPECT_EQ(aos.value().coverage.analyzable_edges,
-            cols.value().coverage.analyzable_edges);
-  EXPECT_EQ(aos.value().coverage.disconnected_edges,
-            cols.value().coverage.disconnected_edges);
+  const auto swept = analyze_with_coverage(ds, min_samples(2));
+  ASSERT_TRUE(swept.is_ok());
+  EXPECT_EQ(swept.value().columns.metric, Metric::kRtt);
+  const auto table = PathTable::build(ds, min_samples(2));
+  expect_pairs_identical(analyze_alternate_paths(table),
+                         to_pairs(swept.value().columns));
+  EXPECT_EQ(swept.value().coverage.covered_pairs, 6u);
+  EXPECT_EQ(swept.value().coverage.analyzable_edges, 6u);
+  EXPECT_EQ(swept.value().coverage.disconnected_edges, 0u);
+
+  // The producer: analyze_alternate_columns is the AoS sweep transposed and
+  // tagged with the options' metric, byte for byte, for every metric, engine
+  // and thread count.
+  meas::CatalogConfig cfg;
+  cfg.scale = 0.02;
+  meas::Catalog catalog{cfg};
+  BuildOptions build = min_samples(2);
+  build.keep_samples = true;
+  const auto uw3 = PathTable::build(catalog.uw3(), build);
+  ASSERT_GT(uw3.edges().size(), 0u);
+  for (const Metric metric :
+       {Metric::kRtt, Metric::kLoss, Metric::kPropagation}) {
+    for (const Kernel kernel : {Kernel::kSearch, Kernel::kDense}) {
+      for (const int threads : {1, 4, 8}) {
+        SCOPED_TRACE(testing::Message()
+                     << metric_name(metric) << " kernel "
+                     << static_cast<int>(kernel) << " threads " << threads);
+        AnalyzerOptions o;
+        o.metric = metric;
+        o.kernel = kernel;
+        o.max_intermediate_hosts = kernel == Kernel::kDense ? 1 : 0;
+        o.threads = threads;
+        const auto columns = analyze_alternate_columns(uw3, o);
+        ASSERT_TRUE(columns.is_ok());
+        EXPECT_EQ(columns.value().metric, metric);
+        const ResultColumns reference =
+            from_pairs(analyze_alternate_paths(uw3, o), o.metric);
+        EXPECT_EQ(serialize_result_columns({&columns.value(), 1}),
+                  serialize_result_columns({&reference, 1}));
+      }
+    }
+  }
+
+  // Cancellation surfaces as a Status on both engines.
+  CancelToken cancel;
+  cancel.cancel();
+  for (const Kernel kernel : {Kernel::kSearch, Kernel::kDense}) {
+    AnalyzerOptions o;
+    o.kernel = kernel;
+    o.max_intermediate_hosts = 1;
+    o.cancel = &cancel;
+    const auto cancelled = analyze_alternate_columns(uw3, o);
+    ASSERT_FALSE(cancelled.is_ok());
+    EXPECT_EQ(cancelled.status().code(), ErrorCode::kCancelled);
+  }
 }
 
 TEST(ResultColumns, DegradedDatasetRoundTripsThroughTheBinaryFormat) {
@@ -314,7 +385,7 @@ TEST(ResultColumns, DegradedDatasetRoundTripsThroughTheBinaryFormat) {
   cfg.fault_seed = 11;
   meas::Catalog catalog{cfg};
   const auto swept =
-      analyze_columns_with_coverage(catalog.by_name("D2"), min_samples(2));
+      analyze_with_coverage(catalog.by_name("D2"), min_samples(2));
   ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
   const ResultColumns& columns = swept.value().columns;
   ASSERT_GT(columns.size(), 0u);

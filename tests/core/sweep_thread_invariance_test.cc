@@ -11,6 +11,7 @@
 #include "core/episodes.h"
 #include "core/overlay.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 #include "core/timeofday.h"
 #include "meas/collector.h"
 #include "sim/network.h"
@@ -65,8 +66,11 @@ const meas::Dataset& episode_dataset() {
   return dataset;
 }
 
-void expect_identical_results(const std::vector<PairResult>& serial,
-                              const std::vector<PairResult>& threaded) {
+void expect_identical_results(const ResultColumns& serial_columns,
+                              const ResultColumns& threaded_columns) {
+  EXPECT_EQ(serial_columns.metric, threaded_columns.metric);
+  const std::vector<PairResult> serial = to_pairs(serial_columns);
+  const std::vector<PairResult> threaded = to_pairs(threaded_columns);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const auto& s = serial[i];

@@ -46,9 +46,9 @@ TEST(TimeOfDay, PeakWindowShowsLargerImprovement) {
   opt.min_samples = 1;
   const auto bins = analyze_by_time_of_day(tod_dataset(), opt);
   auto improvement_for = [](const TimeOfDayBin& bin) {
-    for (const auto& r : bin.results) {
-      if (r.a == topo::HostId{0} && r.b == topo::HostId{1}) {
-        return r.improvement();
+    for (std::size_t i = 0; i < bin.results.size(); ++i) {
+      if (bin.results.src[i] == 0 && bin.results.dst[i] == 1) {
+        return bin.results.improvement(i);
       }
     }
     return 0.0;

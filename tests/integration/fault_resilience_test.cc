@@ -93,7 +93,7 @@ TEST(FaultResilience, FaultedCampaignCompletesWithCoverage) {
   std::size_t failures = 0;
   for (const std::size_t n : c.failures_by_reason) failures += n;
   EXPECT_GT(failures, 0u);
-  EXPECT_FALSE(result.value().results.empty());
+  EXPECT_FALSE(result.value().columns.empty());
 }
 
 TEST(FaultResilience, RetryRecordsAttemptsAndReasons) {
@@ -147,8 +147,8 @@ TEST(FaultResilience, AnalysisIsThreadCountInvariantUnderFaults) {
   const auto eight = core::analyze_with_coverage(cat.uw3(), build, wide);
   ASSERT_TRUE(one.is_ok());
   ASSERT_TRUE(eight.is_ok());
-  const auto& r1 = one.value().results;
-  const auto& r8 = eight.value().results;
+  const auto r1 = core::to_pairs(one.value().columns);
+  const auto r8 = core::to_pairs(eight.value().columns);
   ASSERT_EQ(r1.size(), r8.size());
   ASSERT_FALSE(r1.empty());
   for (std::size_t i = 0; i < r1.size(); ++i) {

@@ -34,9 +34,8 @@ TEST_F(PaperResultsTest, SignificantFractionHasBetterRttAlternate) {
   // Paper §5: 30-55 percent of paths have a lower-RTT alternate.
   for (const char* name : {"UW3", "D2"}) {
     const auto table = table_for(catalog().by_name(name), 8);
-    const auto results = core::analyze_alternate_paths(table, {});
-    const double frac =
-        core::fraction_improved(std::span<const core::PairResult>(results));
+    const auto results = core::analyze_alternate_columns(table, {}).value();
+    const double frac = core::fraction_improved(results);
     EXPECT_GT(frac, 0.20) << name;
     EXPECT_LT(frac, 0.70) << name;
   }
@@ -50,9 +49,8 @@ TEST_F(PaperResultsTest, ManyPathsHaveBetterLossAlternate) {
   const auto table = table_for(catalog().uw3(), 8);
   core::AnalyzerOptions opt;
   opt.metric = core::Metric::kLoss;
-  const auto results = core::analyze_alternate_paths(table, opt);
-  const double frac =
-      core::fraction_improved(std::span<const core::PairResult>(results));
+  const auto results = core::analyze_alternate_columns(table, opt).value();
+  const double frac = core::fraction_improved(results);
   EXPECT_GT(frac, 0.30);
 }
 
@@ -71,8 +69,8 @@ TEST_F(PaperResultsTest, BandwidthAlternatesCommon) {
 TEST_F(PaperResultsTest, TTestTalliesMatchTable2Shape) {
   // Table 2: better 20-32%, indeterminate 32-41%, worse 29-48%.
   const auto table = table_for(catalog().uw3(), 8);
-  const auto results = core::analyze_alternate_paths(table, {});
-  const auto tally = core::classify_significance(results);
+  const auto results = core::analyze_alternate_columns(table, {}).value();
+  const auto tally = core::classify_significance(results).value();
   EXPECT_GT(tally.better, 0.10);
   EXPECT_LT(tally.better, 0.50);
   EXPECT_GT(tally.indeterminate, 0.15);
@@ -104,9 +102,12 @@ TEST_F(PaperResultsTest, D2ShowsStrongerLossImprovements) {
   // improvements (>= 5 percentage points) than the 1998-99 UW datasets.
   core::AnalyzerOptions opt;
   opt.metric = core::Metric::kLoss;
-  const auto d2 = core::analyze_alternate_paths(table_for(catalog().d2(), 5), opt);
+  const auto d2 =
+      core::analyze_alternate_columns(table_for(catalog().d2(), 5), opt)
+          .value();
   const auto uw3 =
-      core::analyze_alternate_paths(table_for(catalog().uw3(), 8), opt);
+      core::analyze_alternate_columns(table_for(catalog().uw3(), 8), opt)
+          .value();
   const double d2_large = core::improvement_cdf(d2).fraction_above(0.05);
   const double uw3_large = core::improvement_cdf(uw3).fraction_above(0.05);
   EXPECT_GT(d2_large, uw3_large);
@@ -116,7 +117,7 @@ TEST_F(PaperResultsTest, D2ShowsStrongerLossImprovements) {
 TEST_F(PaperResultsTest, RelativeRttImprovementTail) {
   // Figure 2: a visible fraction of pairs sees >= 1.5x better latency.
   const auto table = table_for(catalog().uw3(), 8);
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::analyze_alternate_columns(table, {}).value();
   const auto ratios = core::ratio_cdf(results);
   EXPECT_GT(ratios.fraction_above(1.25), 0.02);
 }
@@ -124,9 +125,11 @@ TEST_F(PaperResultsTest, RelativeRttImprovementTail) {
 TEST_F(PaperResultsTest, TransOceanicLatencyGapDisappearsInRatio) {
   // Figures 1 vs 2: D2 (world) shows larger absolute improvements than
   // D2-NA, but the relative curves come together.
-  const auto d2 = core::analyze_alternate_paths(table_for(catalog().d2(), 5), {});
+  const auto d2 =
+      core::analyze_alternate_columns(table_for(catalog().d2(), 5), {}).value();
   const auto na =
-      core::analyze_alternate_paths(table_for(catalog().d2_na(), 5), {});
+      core::analyze_alternate_columns(table_for(catalog().d2_na(), 5), {})
+          .value();
   const double d2_abs = core::improvement_cdf(d2).value_at_fraction(0.95);
   const double na_abs = core::improvement_cdf(na).value_at_fraction(0.95);
   const double d2_rel = core::ratio_cdf(d2).value_at_fraction(0.95);

@@ -91,14 +91,13 @@ TEST_F(PipelineTest, LossValuesInUnitRange) {
 
 TEST_F(PipelineTest, SignificanceTallyConsistent) {
   const auto table = uw3_table();
-  const auto results = core::analyze_alternate_paths(table, {});
-  const auto tally = core::classify_significance(results);
+  const auto results = core::analyze_alternate_columns(table, {}).value();
+  const auto tally = core::classify_significance(results).value();
   EXPECT_EQ(tally.pairs, results.size());
   EXPECT_NEAR(tally.better + tally.worse + tally.indeterminate + tally.zero,
               1.0, 1e-9);
   // Significant fractions are a subset of raw fractions.
-  const double raw_better =
-      core::fraction_improved(std::span<const core::PairResult>(results));
+  const double raw_better = core::fraction_improved(results);
   EXPECT_LE(tally.better, raw_better + 1e-9);
 }
 
@@ -160,7 +159,7 @@ TEST_F(PipelineTest, ContributionNormalization) {
 
 TEST_F(PipelineTest, AsAppearancesCoverDefaultPaths) {
   const auto table = uw3_table();
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::analyze_alternate_columns(table, {}).value();
   const auto apps = core::as_appearances(table, results);
   EXPECT_GT(apps.size(), 10u);
   std::size_t default_total = 0;

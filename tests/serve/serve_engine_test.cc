@@ -83,10 +83,10 @@ std::vector<core::ResultColumns> batch_reference(
     analyzer.metric = metric;
     analyzer.max_intermediate_hosts = 1;
     analyzer.threads = 1;
-    const Result<std::vector<core::PairResult>> pairs =
-        core::analyze_alternate_paths_checked(table, analyzer);
-    EXPECT_TRUE(pairs.is_ok());
-    core::ResultColumns cols = core::from_pairs(pairs.value(), metric);
+    Result<core::ResultColumns> swept =
+        core::analyze_alternate_columns(table, analyzer);
+    EXPECT_TRUE(swept.is_ok());
+    core::ResultColumns& cols = swept.value();
     EXPECT_TRUE(core::annotate_significance(cols, 0.95, 1).is_ok());
     out.push_back(std::move(cols));
   }

@@ -3,7 +3,7 @@
 //   * every row of the catalog datasets at scale 0.2 (the six traceroute
 //     ones; the TCP ones never reach a t-test), rtt and loss, at several
 //     confidence levels, and through annotate_significance and
-//     classify_significance_checked at 1/4/8 threads;
+//     classify_significance at 1/4/8 threads;
 //   * an adversarial boundary corpus that puts diff / sqrt(var) within
 //     k ulps of the exact bisection quantile, where the shortcut must fall
 //     back (and the test fails if it never does);
@@ -81,7 +81,7 @@ const std::vector<CatalogColumns>& catalog_columns() {
            {core::Metric::kRtt, core::Metric::kLoss}) {
         core::AnalyzerOptions analyze;
         analyze.metric = metric;
-        auto swept = core::analyze_columns_with_coverage(
+        auto swept = core::analyze_with_coverage(
             ds, test::min_samples(3), analyze);
         EXPECT_TRUE(swept.is_ok()) << name << ": "
                                    << swept.status().to_string();
@@ -129,7 +129,7 @@ TEST(WelchVerdictDiff, AnnotateAndTallyMatchTheExactPathAtAnyThreadCount) {
       ASSERT_TRUE(core::annotate_significance(cols, 0.95, threads).is_ok());
       EXPECT_EQ(cols.significance, want) << threads << " threads";
       const auto tally =
-          core::classify_significance_checked(source, 0.95, threads);
+          core::classify_significance(source, 0.95, threads);
       ASSERT_TRUE(tally.is_ok());
       EXPECT_EQ(tally.value().better, static_cast<double>(want_counts[0]) / n);
       EXPECT_EQ(tally.value().worse, static_cast<double>(want_counts[1]) / n);
@@ -271,7 +271,7 @@ TEST(WelchVerdictDiff, VerdictCountersCountRowsAndFallbacks) {
   m.enable(true);
   core::ResultColumns cols = source;
   ASSERT_TRUE(core::annotate_significance(cols, 0.95, 4).is_ok());
-  ASSERT_TRUE(core::classify_significance_checked(cols, 0.95, 4).is_ok());
+  ASSERT_TRUE(core::classify_significance(cols, 0.95, 4).is_ok());
   const MetricsSnapshot snap = m.snapshot();
   m.enable(false);
   m.reset();

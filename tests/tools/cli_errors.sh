@@ -291,6 +291,55 @@ expect 0 "analyze with results-in" -- analyze --results-in "$TMP/r.psrc"
 head -c 40 "$TMP/r.psrc" > "$TMP/trunc.psrc"
 expect 4 "results-in truncated file" -- analyze --results-in "$TMP/trunc.psrc"
 
+# No measured pair with an alternate path: keep only the rows of one
+# measured pair, so its single edge survives the sample filter but has no
+# alternate once the direct edge is removed.  Every CDF would be empty, so
+# analyze exits 1 with "insufficient data" (it aborted with 134 in
+# EmpiricalCdf) and writes no results file, fused or split.
+# keep_pair <in> <out>: the rows between the hosts of the first completed row.
+keep_pair() {
+  local a b
+  read -r a b < <(awk '$1 == "m" && $6 == 1 { print $3, $4; exit }' "$1")
+  awk -v a="$a" -v b="$b" \
+    '$1 != "m" || ($3 == a && $4 == b) || ($3 == b && $4 == a)' "$1" > "$2"
+}
+# expect_insufficient <description> -- <argv...>
+expect_insufficient() {
+  local desc="$1"
+  expect 1 "$@"
+  shift 2
+  if ! "$CLI" "$@" 2>&1 >/dev/null | grep -q "^insufficient data: "; then
+    echo "FAIL: $desc: no \"insufficient data:\" diagnostic" >&2
+    failures=$((failures + 1))
+  fi
+}
+"$CLI" generate --dataset UW3 --scale 0.02 --out "$TMP/uw3_002.ds" \
+  > /dev/null 2>&1
+keep_pair "$TMP/uw3_002.ds" "$TMP/one_pair.ds"
+for args in "" "--metric loss" "--csv" "--one-hop" "--coverage"; do
+  expect_insufficient "analyze with no alternate path ($args)" -- \
+    analyze --in "$TMP/one_pair.ds" --min-samples 1 $args
+done
+expect_insufficient "results-out with no alternate path" -- \
+  analyze --in "$TMP/one_pair.ds" --min-samples 1 \
+  --results-out "$TMP/no_pairs.psrc"
+if [[ -e "$TMP/no_pairs.psrc" ]]; then
+  echo "FAIL: results-out wrote a file with no analyzed pairs" >&2
+  failures=$((failures + 1))
+fi
+# The empty rtt PSRC image such a run used to write (36 bytes, CRC sealed).
+{
+  printf 'PSRC\001\000\000\000\001'
+  head -c 23 /dev/zero
+  printf '\233\315\275\300'
+} > "$TMP/empty.psrc"
+expect_insufficient "results-in of an empty results file" -- \
+  analyze --results-in "$TMP/empty.psrc"
+"$CLI" generate --dataset N2 --scale 0.02 --out "$TMP/n2.ds" > /dev/null 2>&1
+keep_pair "$TMP/n2.ds" "$TMP/n2_one_pair.ds"
+expect_insufficient "bandwidth with no one-hop alternate" -- \
+  analyze --in "$TMP/n2_one_pair.ds" --metric bandwidth --min-samples 1
+
 for threads in 1 4 8; do
   "$CLI" analyze --in "$TMP/uw3.ds" --min-samples 2 --threads "$threads" \
     > "$TMP/fused.t$threads" 2>/dev/null
@@ -399,6 +448,28 @@ expect 2 "matrix resume across an edited grid scale" -- \
   matrix --grid "$TMP/bad_grid.txt" --work-dir "$TMP/mx" --resume
 expect 5 "matrix with expired deadline" -- \
   matrix --grid "$TMP/smoke_grid.txt" --work-dir "$TMP/mx2" --deadline 0
+# A cell whose dataset leaves no measured pair with an alternate path
+# degrades like any data-shaped failure (it aborted with 134, and a forked
+# worker's abort became exit 5): the run exits 0 and reports the same bytes
+# at every worker count.
+printf '%s\n' "name = no_alternates" "scale = 0.001" "[faults]" \
+  "values = 0.9" "[samples]" "values = 1" > "$TMP/no_alt_grid.txt"
+for workers in 0 1 2; do
+  expect 0 "matrix cell with no alternate path ($workers workers)" -- \
+    matrix --grid "$TMP/no_alt_grid.txt" --work-dir "$TMP/mx_na$workers" \
+    --workers "$workers"
+done
+if ! grep -q "^cell 0 degraded: insufficient data: " \
+    "$TMP/mx_na0/report.txt" 2>/dev/null; then
+  echo "FAIL: matrix cell with no alternate path not reported degraded" >&2
+  failures=$((failures + 1))
+fi
+for workers in 1 2; do
+  if ! cmp -s "$TMP/mx_na0/report.txt" "$TMP/mx_na$workers/report.txt"; then
+    echo "FAIL: degraded matrix report differs at $workers workers" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 # --metrics contract: bad format is a usage error; valid formats succeed and
 # the dump goes to stderr only, leaving stdout byte-identical to a

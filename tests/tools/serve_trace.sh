@@ -185,6 +185,21 @@ done
 [[ "$(grep -c "^best rtt" "$TMP/tokens.out")" -eq 1 ]] \
   || fail "the well-formed query after the rejected lines was not served"
 
+# --- Case 7: rtt and loss sweeps that keep different pairs ---------------
+# With every RTT sample at 1e308 ms each one-hop rtt alternate sums to +inf,
+# so the rtt sweep drops every pair as disconnected while the loss sweep
+# keeps them all.  The engine serves one row set for both metrics; it used
+# to abort (exit 134) and now fails with a data error naming the first pair
+# the sweeps disagree on.
+awk '$1 == "m" && $6 == 1 { $8 = "1e308"; $10 = "1e308"; $12 = "1e308" } 1' \
+  "$DS" > "$TMP/inf_rtt.ds"
+"$CLI" serve --in "$TMP/inf_rtt.ds" --min-samples 1 \
+  --trace "$TMP/huge.trace" > /dev/null 2> "$TMP/inf_rtt.err"
+rc=$?
+[[ "$rc" -eq 1 ]] || fail "rtt/loss pair-set mismatch: expected exit 1, got $rc"
+grep -q "row 0 is none under rtt but [0-9]*-[0-9]* under loss" \
+  "$TMP/inf_rtt.err" || fail "pair-set mismatch diagnostic does not name a pair"
+
 if [[ "$failures" -ne 0 ]]; then
   echo "$failures serve trace case(s) failed" >&2
   exit 1

@@ -608,10 +608,10 @@ void print_coverage(const core::CoverageSummary& c) {
 int run_post_processing(const core::ResultColumns& columns, int threads,
                         const core::CoverageSummary* coverage, bool csv) {
   const auto cdf = core::improvement_cdf(columns, threads);
-  const auto tally_checked =
-      core::classify_significance_checked(columns, 0.95, threads, &g_cancel);
-  if (!tally_checked.is_ok()) return fail(tally_checked.status());
-  const core::SignificanceTally& tally = tally_checked.value();
+  const auto classified =
+      core::classify_significance(columns, 0.95, threads, &g_cancel);
+  if (!classified.is_ok()) return fail(classified.status());
+  const core::SignificanceTally& tally = classified.value();
   std::printf("pairs analyzed: %zu\n", columns.size());
   std::printf("better alternate exists: %.0f%%\n",
               100.0 * cdf.fraction_above(0.0));
@@ -756,6 +756,10 @@ int cmd_analyze(const AnalyzeFlags& o) {
                    o.results_in->c_str(), sets.value().size());
       return kExitDataError;
     }
+    if (sets.value().front().empty()) {
+      return fail(Status::error(ErrorCode::kInsufficientData,
+                                *o.results_in + " holds no analyzed pairs"));
+    }
     return run_post_processing(sets.value().front(), o.threads, nullptr,
                                o.csv);
   }
@@ -788,6 +792,10 @@ int cmd_analyze(const AnalyzeFlags& o) {
          {std::pair{"optimistic", core::LossComposition::kOptimistic},
           std::pair{"pessimistic", core::LossComposition::kPessimistic}}) {
       const auto results = core::analyze_bandwidth(table, comp);
+      if (results.empty()) {
+        return fail(Status::error(ErrorCode::kInsufficientData,
+                                  "no measured pair has a one-hop alternate"));
+      }
       const auto cdf = core::bandwidth_improvement_cdf(results);
       std::printf("%s: %zu pairs, %.0f%% with a better one-hop alternate\n",
                   label, results.size(), 100.0 * cdf.fraction_above(0.0));
@@ -825,9 +833,9 @@ int cmd_analyze(const AnalyzeFlags& o) {
   analyze.kernel = o.kernel.value_or(core::Kernel::kAuto);
   analyze.simd = o.simd.value_or(core::SimdMode::kAuto);
 
-  auto result = core::analyze_columns_with_coverage(ds, build, analyze);
+  auto result = core::analyze_with_coverage(ds, build, analyze);
   if (!result.is_ok()) return fail(result.status());
-  core::DegradedColumnsAnalysis& analysis = result.value();
+  core::DegradedAnalysis& analysis = result.value();
   std::printf("path graph: %zu measured paths over %zu hosts\n",
               analysis.coverage.usable_edges, analysis.coverage.hosts);
   if (o.results_out) {
